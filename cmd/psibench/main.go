@@ -58,8 +58,8 @@ func main() {
 	steps := flag.Int64("steps", 0, "bound each simulated run to this many steps (0 = default 4e9; exit 4 when exceeded)")
 	faultSpec := flag.String("fault", "", "inject a deterministic seeded fault into matching cells, e.g. `site=mem,after=1000,seed=1,only=nreverse` (exit 7, or 8 with -keep-going)")
 	keepGoing := flag.Bool("keep-going", false, "report failing workloads as degraded and keep evaluating the rest (exit 8 when any run degraded)")
-	engineMode := flag.String("engine", "exact", "accounting engine `mode`: exact (per-cycle) or fast (batched; byte-identical output; -v stays fast, cells arming a per-cycle consumer — -fault matches, trace taps — run exact, with a startup warning)")
-	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON span trace of the evaluation cells to this `file` (view in Perfetto)")
+	engineMode := flag.String("engine", "exact", "accounting engine `mode`: exact (per-cycle) or fast (batched; byte-identical output; -v stays fast, runs arming a per-cycle consumer — -fault matches, the Figure 1 and cache-lab sweeps — run exact, with a startup warning)")
+	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON span trace of the evaluation runs to this `file` (view in Perfetto)")
 	gridSpec := flag.String("grid", "", "cache-lab grid `spec` for the lab selector, e.g. 'caps=1024,8192;assoc=1,2;repl=lru,plru' (empty = the default grid)")
 	flag.Usage = usage
 	flag.Parse()
@@ -129,9 +129,6 @@ func main() {
 		}
 		if which == "all" || which == "lab" {
 			fmt.Fprintln(os.Stderr, "psibench: -engine fast: the cache lab runs with exact accounting (its grid sweep rides the per-cycle predicate sink)")
-		}
-		if which == "all" || which == "6" {
-			fmt.Fprintln(os.Stderr, "psibench: -engine fast: the Table 6 cell runs with exact accounting (MAP analysis needs a collected trace)")
 		}
 	}
 	defer func() { check(obs.WriteMemProfile(*memProfile)) }()
@@ -227,7 +224,7 @@ func main() {
 }
 
 // writeTrace dumps the span log as a Chrome trace-event JSON document,
-// one row per evaluation cell. No-op when -trace-out was not given.
+// one row per simulated run. No-op when -trace-out was not given.
 func writeTrace(path string, log *telemetry.SpanLog) {
 	if path == "" || log == nil {
 		return

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 
@@ -18,15 +17,15 @@ type AblationRow struct {
 	DeltaPct float64 `json:"delta_pct"` // (VarMS/BaseMS - 1) * 100; negative = variant faster
 }
 
-// ablationVariants lists the design choices the paper's data speaks to.
-func ablationVariants() []struct {
+// ablation is one machine variant of the ablation study.
+type ablation struct {
 	name string
 	feat core.Features
-} {
-	return []struct {
-		name string
-		feat core.Features
-	}{
+}
+
+// ablationVariants lists the design choices the paper's data speaks to.
+func ablationVariants() []ablation {
+	return []ablation{
 		{"no frame buffers", core.Features{NoFrameBuffers: true}},
 		{"no control-frame buffers", core.Features{NoCtrlBuffers: true}},
 		{"no last-call optimization", core.Features{NoLCO: true}},
@@ -42,91 +41,50 @@ func ablationWorkloads() []progs.Benchmark {
 	return []progs.Benchmark{progs.NReverse, progs.QueensFirst, progs.BUP2, progs.Window1}
 }
 
-// timeFeatMS executes a benchmark under a feature configuration and
-// reports the simulated time. The program comes from the compile cache
-// (features change the machine, never the code image) and the machine
-// goes back to the pool.
-func timeFeatMS(o Options, cell string, b progs.Benchmark, feat core.Features) (float64, error) {
-	c, err := Compile(b)
-	if err != nil {
-		return 0, err
-	}
-	r, err := c.run(runOpts{feat: feat, cell: cell, progress: o.Progress, every: o.ProgressEvery, ctx: o.Ctx, maxSteps: o.MaxSteps, fault: o.Fault, fast: o.Fast})
-	if err != nil {
-		return 0, err
-	}
-	ms := float64(r.Machine.TimeNS()) / 1e6
-	r.Release()
-	return ms, nil
-}
-
 // Ablations measures every feature variant on every ablation workload.
 func Ablations() ([]AblationRow, error) { return AblationsWith(Options{}) }
 
-// AblationsWith is Ablations under explicit worker options: the base
-// runs fan out first, then every (workload, variant) cell. Under
+// AblationsWith is Ablations under explicit worker options. Under
 // KeepGoing a failed base run drops the whole workload (its deltas have
 // no denominator) and a failed variant run drops that row; every
 // failure is recorded in the degraded log.
-func AblationsWith(o Options) ([]AblationRow, error) {
+func AblationsWith(o Options) ([]AblationRow, error) { return ablations(runPlan(o, ablationCells())) }
+
+// ablationCells lists each workload's base cell — the full PSI
+// configuration, which a full evaluation's Table 1 run already serves —
+// then every (workload, variant) cell, workload-major.
+func ablationCells() []cell {
 	ws := ablationWorkloads()
-	vs := ablationVariants()
-	baseMS, baseErrs := parMapErrs(o.workers(), ws, func(b progs.Benchmark) (float64, error) {
-		return timeFeatMS(o, "ablate/base/"+b.Name, b, core.Features{})
+	cells := cellsOf("ablate/base", ws...)
+	for _, b := range ws {
+		for _, v := range ablationVariants() {
+			cells = append(cells, cell{label: "ablate/" + v.name + "/" + b.Name, b: b, feat: v.feat, variant: v.name})
+		}
+	}
+	return cells
+}
+
+func ablations(p *plan) ([]AblationRow, error) {
+	cells, n := ablationCells(), len(ablationWorkloads())
+	baseMS := map[string]float64{}
+	if _, err := rows(p, "ablations", cells[:n], func(c cell, r, _ *result) float64 {
+		baseMS[c.b.Name] = r.ms()
+		return 0
+	}); err != nil {
+		return nil, err
+	}
+	// A workload whose base run failed is dropped whole: its deltas have
+	// no denominator.
+	var vcells []cell
+	for _, c := range cells[n:] {
+		if _, ok := baseMS[c.b.Name]; ok {
+			vcells = append(vcells, c)
+		}
+	}
+	return rows(p, "ablations", vcells, func(c cell, r, _ *result) AblationRow {
+		base := baseMS[c.b.Name]
+		return AblationRow{Feature: c.variant, Workload: c.b.Name, BaseMS: base, VarMS: r.ms(), DeltaPct: (r.ms()/base - 1) * 100}
 	})
-	var joined []error
-	baseOK := make([]bool, len(ws))
-	for i, err := range baseErrs {
-		if err == nil {
-			baseOK[i] = true
-			continue
-		}
-		cerr := &CellError{Cell: "ablate/base/" + ws[i].Name, Err: err}
-		if o.KeepGoing {
-			o.degrade("ablations", cerr.Cell, err)
-		} else {
-			joined = append(joined, cerr)
-		}
-	}
-	if len(joined) > 0 {
-		return nil, errors.Join(joined...)
-	}
-	type cell struct{ w, v int }
-	cells := make([]cell, 0, len(ws)*len(vs))
-	for wi := range ws { // workload-major, the serial row order
-		if !baseOK[wi] {
-			continue
-		}
-		for vi := range vs {
-			cells = append(cells, cell{wi, vi})
-		}
-	}
-	varMS, varErrs := parMapErrs(o.workers(), cells, func(c cell) (float64, error) {
-		return timeFeatMS(o, "ablate/"+vs[c.v].name+"/"+ws[c.w].Name, ws[c.w], vs[c.v].feat)
-	})
-	rows := make([]AblationRow, 0, len(cells))
-	for i, c := range cells {
-		if err := varErrs[i]; err != nil {
-			cerr := &CellError{Cell: "ablate/" + vs[c.v].name + "/" + ws[c.w].Name, Err: err}
-			if o.KeepGoing {
-				o.degrade("ablations", cerr.Cell, err)
-				continue
-			}
-			joined = append(joined, cerr)
-			continue
-		}
-		rows = append(rows, AblationRow{
-			Feature:  vs[c.v].name,
-			Workload: ws[c.w].Name,
-			BaseMS:   baseMS[c.w],
-			VarMS:    varMS[i],
-			DeltaPct: (varMS[i]/baseMS[c.w] - 1) * 100,
-		})
-	}
-	if len(joined) > 0 {
-		return nil, errors.Join(joined...)
-	}
-	return rows, nil
 }
 
 // FormatAblations renders the ablation study.

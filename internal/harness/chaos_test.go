@@ -2,6 +2,7 @@ package harness
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -102,7 +103,12 @@ func TestFaultedPoolMachinesReplayClean(t *testing.T) {
 	// Replay clean runs at -j > 1 on the (now fault-tainted) pool.
 	const replays = 8
 	stats, errs := parMapErrs(replays, make([]int, replays), func(int) (micro.Stats, error) {
-		return statsValueFor(Options{}, "chaos/replay", progs.NReverse)
+		r, err := RunPSI(progs.NReverse, false)
+		if err != nil {
+			return micro.Stats{}, err
+		}
+		defer r.Release()
+		return *r.Machine.Stats(), nil
 	})
 	for i, err := range errs {
 		if err != nil {
@@ -260,5 +266,64 @@ func TestChaosFastModeContained(t *testing.T) {
 				t.Errorf("plan %v: fault text depends on the fast request:\n%s\n%s", plan, exact.Error(), fast.Error())
 			}
 		})
+	}
+}
+
+// TestFaultFilterPerCell pins the fault-plan semantics of the shared
+// evaluation plan: the only= filter is matched against each cell's
+// label, matching cells get a faulted run of their own, and every other
+// cell reads the workload's shared clean run.
+func TestFaultFilterPerCell(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode: two full keep-going evaluations")
+	}
+	run := func(only string) *Evaluation {
+		e, err := EvaluationWith(Options{
+			Workers:   2,
+			Fast:      true,
+			KeepGoing: true,
+			Fault:     &fault.Plan{Site: fault.SiteCache, After: 300, Seed: 2, Only: only},
+		})
+		if err != nil {
+			t.Fatalf("only=%s: keep-going evaluation aborted: %v", only, err)
+		}
+		return e
+	}
+
+	// A workload filter degrades that workload in every section, each
+	// cell under its own label, in section order — the list a harness
+	// that re-simulated every section produced.
+	const msg = "8 puzzle: fault at cache (step 1294): cache check at access 300: cache tag parity error: bit 23 flipped in block frame 258"
+	var want []DegradedRun
+	for _, d := range [][2]string{
+		{"table2", "table2/8 puzzle"},
+		{"table3", "table3/8 puzzle"},
+		{"table4", "table4/8 puzzle"},
+		{"table5", "table5/8 puzzle"},
+		{"table7", "table7/8 puzzle"},
+		{"figure1", "fig1/8 puzzle"},
+	} {
+		want = append(want, DegradedRun{Section: d[0], Cell: d[1], Class: "fault", Error: msg})
+	}
+	if got := run("8 puzzle").Degraded; !reflect.DeepEqual(got, want) {
+		t.Errorf("only=8 puzzle degraded:\n got  %+v\n want %+v", got, want)
+	}
+
+	// A section filter degrades only that section's rows; the other
+	// sections read the shared clean runs and match a clean evaluation.
+	e := run("table2/")
+	if len(e.Degraded) != len(progs.Table2Set()) {
+		t.Errorf("only=table2/ degraded %d cells, want the %d Table 2 rows", len(e.Degraded), len(progs.Table2Set()))
+	}
+	for _, d := range e.Degraded {
+		if d.Section != "table2" {
+			t.Errorf("only=table2/ degraded a %s cell: %+v", d.Section, d)
+		}
+	}
+	clean, _ := fullEvalStructs(t)
+	rest := *e
+	rest.Table2, rest.Degraded = clean.Table2, nil
+	if !reflect.DeepEqual(&rest, clean) {
+		t.Error("only=table2/ changed sections other than Table 2")
 	}
 }

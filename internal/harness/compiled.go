@@ -119,32 +119,31 @@ func compileBenchmark(b progs.Benchmark) (*Compiled, error) {
 // tables never touch the DEC side).
 func (c *Compiled) DEC() (*dec10.Program, *dec10.Query, error) {
 	c.decOnce.Do(func() {
-		prog := dec10.NewProgram(nil)
-		cs, err := parse.Clauses(c.name, c.src)
-		if err != nil {
-			c.decErr = fmt.Errorf("%s: %w", c.name, err)
-			return
+		if c.decProg, c.decQ, c.decErr = compileDEC(c.name, c.src, c.qsrc); c.decErr != nil {
+			c.decErr = fmt.Errorf("%s: %w", c.name, c.decErr)
 		}
-		if err := prog.AddClauses(cs); err != nil {
-			c.decErr = fmt.Errorf("%s: %w", c.name, err)
-			return
-		}
-		g, err := parse.Term(c.qsrc)
-		if err != nil {
-			c.decErr = fmt.Errorf("%s: %w", c.name, err)
-			return
-		}
-		q, err := prog.CompileQueryHandle(g)
-		if err != nil {
-			c.decErr = fmt.Errorf("%s: %w", c.name, err)
-			return
-		}
-		c.decProg, c.decQ = prog, q
 	})
 	if c.decErr != nil {
 		return nil, nil, c.decErr
 	}
 	return c.decProg.Snapshot(), c.decQ, nil
+}
+
+func compileDEC(name, src, query string) (*dec10.Program, *dec10.Query, error) {
+	prog := dec10.NewProgram(nil)
+	cs, err := parse.Clauses(name, src)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := prog.AddClauses(cs); err != nil {
+		return nil, nil, err
+	}
+	g, err := parse.Term(query)
+	if err != nil {
+		return nil, nil, err
+	}
+	q, err := prog.CompileQueryHandle(g)
+	return prog, q, err
 }
 
 // Run executes the compiled benchmark on a machine from the pool and
@@ -158,7 +157,7 @@ func (c *Compiled) Run(collect bool, feat core.Features) (*PSIRun, error) {
 // classic (collect, features) pair. The zero value reproduces Run.
 type runOpts struct {
 	collect     bool
-	tap         micro.Sink // extra cycle sink, e.g. a pmms.Sweeper
+	tap         micro.Sink // cycle sink instead of a collected trace, e.g. a pmms.Sweeper
 	feat        core.Features
 	cell        string             // evaluation cell label for heartbeats
 	progress    func(obs.Progress) // nil = no heartbeats
@@ -174,57 +173,38 @@ type runOpts struct {
 	spanTID     int64              // trace row for this run's spans
 }
 
-// sinkPair duplicates the cycle stream to two sinks (collect + tap runs).
-type sinkPair struct{ a, b micro.Sink }
-
-func (p sinkPair) Cycle(c micro.Cycle) {
-	p.a.Cycle(c)
-	p.b.Cycle(c)
-}
-
 func (c *Compiled) run(ro runOpts) (*PSIRun, error) {
 	steps := ro.maxSteps
 	if steps <= 0 {
 		steps = maxSteps
 	}
-	cfg := core.Config{Processes: c.Procs, MaxSteps: steps, Features: ro.feat, Fast: ro.fast}
-	if ro.fault != nil {
-		label := ro.cell
-		if label == "" {
-			label = c.name
-		}
-		if ro.fault.Matches(label) {
-			// Each matching run gets a fresh injector from the shared
-			// plan: injection state is per-machine, so parallel cells
-			// never share mutable fault state.
-			cfg.Fault = ro.fault.New()
-		}
+	label := ro.cell
+	if label == "" {
+		label = c.name
+	}
+	cfg := core.Config{
+		Processes: c.Procs, MaxSteps: steps, Features: ro.feat, Fast: ro.fast,
+		Profile: ro.profile, Sample: ro.sample, SampleEvery: ro.sampleEvery,
+	}
+	if ro.fault != nil && ro.fault.Matches(label) {
+		// Each matching run gets a fresh injector from the shared
+		// plan: injection state is per-machine, so parallel cells
+		// never share mutable fault state.
+		cfg.Fault = ro.fault.New()
 	}
 	var log *trace.Log
-	if ro.collect {
+	switch {
+	case ro.collect:
 		log = &trace.Log{}
 		cfg.Trace = log
-	}
-	if ro.tap != nil {
+	case ro.tap != nil:
 		// The tap sees the identical cycle stream COLLECT would log — a
 		// sweep fed through it computes exactly what a replay of the
 		// materialized trace computes, without the O(trace) allocation.
-		if cfg.Trace != nil {
-			cfg.Trace = sinkPair{cfg.Trace, ro.tap}
-		} else {
-			cfg.Trace = ro.tap
-		}
+		cfg.Trace = ro.tap
 	}
-	cfg.Profile = ro.profile
-	cfg.Sample = ro.sample
-	cfg.SampleEvery = ro.sampleEvery
 	if ro.spans != nil {
-		cfg.Spans = ro.spans
-		cfg.SpanName = ro.cell
-		if cfg.SpanName == "" {
-			cfg.SpanName = c.name
-		}
-		cfg.SpanTID = ro.spanTID
+		cfg.Spans, cfg.SpanName, cfg.SpanTID = ro.spans, label, ro.spanTID
 	}
 	if ro.progress != nil {
 		cell := ro.cell

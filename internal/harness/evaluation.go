@@ -39,51 +39,54 @@ type Evaluation struct {
 // Evaluate computes the full evaluation with default options.
 func Evaluate() (*Evaluation, error) { return EvaluationWith(Options{}) }
 
-// EvaluationWith computes the full evaluation: the sections run in the
-// classic order, each fanning its cells out over the option's workers.
-// The result is identical for any worker count. With KeepGoing set,
-// failing workloads are dropped from their sections and listed in the
-// result's Degraded field instead of aborting the evaluation.
+// EvaluationWith computes the full evaluation. One plan simulates every
+// workload the tables and the ablations need, once each, in a single
+// fan-out over the option's workers; the sections are then derived from
+// it in the classic order, with Figure 1 and the cache lab running
+// their own tapped runs. The result is identical for any worker count.
+// With KeepGoing set, failing workloads are dropped from their sections
+// and listed in the result's Degraded field instead of aborting the
+// evaluation.
 func EvaluationWith(o Options) (*Evaluation, error) {
 	if o.KeepGoing && o.Degraded == nil {
 		o.Degraded = NewDegradedLog()
 	}
+	p := runPlan(o, table1Cells(), table2Cells(), hardwareCells("table3"), hardwareCells("table4"),
+		hardwareCells("table5"), table6Cells(), table7Cells(), ablationCells())
 	e := &Evaluation{Schema: EvaluationSchema}
-	var err error
-	if e.Table1, err = Table1With(o); err != nil {
-		return nil, err
-	}
-	if e.Table2, err = Table2With(o); err != nil {
-		return nil, err
-	}
-	if e.Table3, err = Table3With(o); err != nil {
-		return nil, err
-	}
-	if e.Table4, err = Table4With(o); err != nil {
-		return nil, err
-	}
-	if e.Table5, err = Table5With(o); err != nil {
-		return nil, err
-	}
-	if e.Table6, err = Table6With(o); err != nil {
-		return nil, err
-	}
-	if e.Table7, err = Table7With(o); err != nil {
-		return nil, err
-	}
-	if e.Figure1, err = Figure1With(o); err != nil {
-		return nil, err
-	}
-	if e.Ablations, err = AblationsWith(o); err != nil {
-		return nil, err
-	}
-	if e.CacheLab, err = CacheLabWith(o); err != nil {
-		return nil, err
+	for _, section := range []func() error{
+		func() (err error) { e.Table1, err = table1(p); return },
+		func() (err error) { e.Table2, err = table2(p); return },
+		func() (err error) { e.Table3, err = table3(p); return },
+		func() (err error) { e.Table4, err = table4(p); return },
+		func() (err error) { e.Table5, err = table5(p); return },
+		func() (err error) { e.Table6, err = table6(p); return },
+		func() (err error) { e.Table7, err = table7(p); return },
+		func() (err error) { e.Figure1, err = Figure1With(o); return },
+		func() (err error) { e.Ablations, err = ablations(p); return },
+		func() (err error) { e.CacheLab, err = CacheLabWith(o); return },
+	} {
+		if err := section(); err != nil {
+			return nil, err
+		}
 	}
 	if o.Degraded != nil {
 		e.Degraded = o.Degraded.Runs()
 	}
 	return e, nil
+}
+
+// All renders the complete evaluation — Tables 1-7, Figure 1 and the
+// ablation study — exactly as `psibench all` prints it: each formatted
+// section followed by a blank line. The output is byte-identical for any
+// worker count. It is a thin wrapper over EvaluationWith; use that to
+// also get the structured (JSON) form of the same computation.
+func All(o Options) (string, error) {
+	e, err := EvaluationWith(o)
+	if err != nil {
+		return "", err
+	}
+	return e.Text(), nil
 }
 
 // Text renders the evaluation exactly as `psibench all` prints it: each

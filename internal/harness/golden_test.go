@@ -1,23 +1,30 @@
 package harness
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"os"
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/progs"
+	"repro/internal/telemetry"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files under docs/ from the current output")
 
-// evalOnce computes the complete evaluation once per test binary, both
-// strictly serially and with 8 workers, so the determinism and golden
-// tests share the (expensive) runs.
+// evalOnce computes the complete evaluation once per test binary —
+// strictly serially, with 8 workers, and with 8 workers in the fast
+// accounting mode with a span log attached — so the determinism, golden
+// and run-count tests share the (expensive) runs.
 var evalOnce struct {
 	sync.Once
 	serial   *Evaluation
 	parallel *Evaluation
+	fast     *Evaluation
+	spans    *telemetry.SpanLog
 	err      error
 }
 
@@ -31,11 +38,23 @@ func fullEvalStructs(t *testing.T) (serial, parallel *Evaluation) {
 		if evalOnce.err == nil {
 			evalOnce.parallel, evalOnce.err = EvaluationWith(Options{Workers: 8})
 		}
+		if evalOnce.err == nil {
+			evalOnce.spans = telemetry.NewSpanLog()
+			evalOnce.fast, evalOnce.err = EvaluationWith(Options{Workers: 8, Fast: true, Spans: evalOnce.spans})
+		}
 	})
 	if evalOnce.err != nil {
 		t.Fatal(evalOnce.err)
 	}
 	return evalOnce.serial, evalOnce.parallel
+}
+
+// fastEval returns the fast-mode, 8-worker, span-attached evaluation
+// and its span log.
+func fastEval(t *testing.T) (*Evaluation, *telemetry.SpanLog) {
+	t.Helper()
+	fullEvalStructs(t)
+	return evalOnce.fast, evalOnce.spans
 }
 
 func fullEval(t *testing.T) (serial, parallel string) {
@@ -82,6 +101,64 @@ func TestGoldenEvaluationJSON(t *testing.T) {
 		t.Errorf("serial and 8-worker JSON differ at line %d:\n serial:   %q\n parallel: %q", line, x, y)
 	}
 	checkGolden(t, "../../docs/evaluation-output.json", string(b))
+}
+
+// TestGoldenFastEvaluation pins the fast accounting mode at 8 workers,
+// with spans attached, to the same golden text and JSON as the exact
+// serial evaluation: the fast engine, the worker count and the span log
+// are all invisible in the published numbers.
+func TestGoldenFastEvaluation(t *testing.T) {
+	e, _ := fastEval(t)
+	b, err := e.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []struct{ path, got string }{
+		{"../../docs/evaluation-output.txt", e.Text()},
+		{"../../docs/evaluation-output.json", string(b)},
+	} {
+		want, err := os.ReadFile(g.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.got != string(want) {
+			line, x, y := firstDiffLine(g.got, string(want))
+			t.Errorf("fast 8-worker evaluation differs from golden %s at line %d:\n got:  %q\n want: %q", g.path, line, x, y)
+		}
+	}
+}
+
+// TestEvaluationRunCount pins how many simulations a full evaluation
+// makes. The plan runs each of the 23 distinct default-configuration
+// workloads once for Tables 1-7 and the ablation baselines, plus the 24
+// ablation variants; Figure 1 adds its 3 tapped sweeps and the cache lab
+// 1 grid run — 51 PSI simulations, each recording one Step span. Table 1
+// adds 19 DEC-10 runs, each recording one cell span.
+func TestEvaluationRunCount(t *testing.T) {
+	_, spans := fastEval(t)
+	var buf bytes.Buffer
+	if err := spans.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := telemetry.ReadTrace(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	psi, dec := 0, 0
+	for _, sp := range tr.TraceEvents {
+		switch {
+		case sp.Cat == "step":
+			psi++
+		case sp.Cat == "cell" && sp.Args["engine"] == "dec10":
+			dec++
+		}
+	}
+	if psi != 51 {
+		t.Errorf("full evaluation made %d PSI simulations, want 51", psi)
+	}
+	if want := len(progs.Table1()); dec != want {
+		t.Errorf("full evaluation made %d DEC-10 runs, want %d", dec, want)
+	}
 }
 
 // TestEvaluationJSONRoundTrip unmarshals the golden JSON document back

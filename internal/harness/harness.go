@@ -5,9 +5,10 @@
 //
 // Benchmarks are parsed and compiled once per process (see Compile) and
 // the resulting read-only code images are shared by every machine that
-// runs them; machines themselves are pooled and reset between runs.
-// Tables can therefore compute their cells on a bounded worker pool (see
-// Options) without changing a single byte of output.
+// runs them; machines themselves are pooled and reset between runs. An
+// evaluation simulates each workload once, on a bounded worker pool (see
+// Options), and derives every table's cells from those runs without
+// changing a single byte of output.
 package harness
 
 import (
@@ -37,11 +38,7 @@ type PSIRun struct {
 // compiled program comes from the shared cache; the machine comes from
 // the pool and can be handed back with Release.
 func RunPSI(b progs.Benchmark, collect bool) (*PSIRun, error) {
-	c, err := Compile(b)
-	if err != nil {
-		return nil, err
-	}
-	return c.Run(collect, core.Features{})
+	return runBench(b, runOpts{collect: collect})
 }
 
 // RunPSIWith is RunPSI with Options threaded through — the entry point
@@ -52,52 +49,21 @@ func RunPSIWith(o Options, b progs.Benchmark, collect bool) (*PSIRun, error) {
 	return runPSIWith(o, b.Name, b, collect)
 }
 
-// runPSIWith is RunPSI with the observability extras of Options threaded
-// through: heartbeats are tagged with the evaluation cell (e.g.
-// "table5/window-1") so `psibench -v` can show where the run is.
+// runPSIWith is RunPSIWith with an explicit run label: heartbeats and
+// spans are tagged with it, and a fault plan's only= filter matches it.
 func runPSIWith(o Options, cell string, b progs.Benchmark, collect bool) (*PSIRun, error) {
+	ro := o.runOpts(cell)
+	ro.collect = collect
+	return runBench(b, ro)
+}
+
+// runBench runs a benchmark from the compile cache.
+func runBench(b progs.Benchmark, ro runOpts) (*PSIRun, error) {
 	c, err := Compile(b)
 	if err != nil {
 		return nil, err
 	}
-	return c.run(runOpts{
-		collect:  collect,
-		cell:     cell,
-		progress: o.Progress,
-		every:    o.ProgressEvery,
-		ctx:      o.Ctx,
-		maxSteps: o.MaxSteps,
-		fault:    o.Fault,
-		fast:     o.Fast,
-		spans:    o.Spans,
-	})
-}
-
-// runPSIInto executes a benchmark with sink tapping the machine's cycle
-// stream — COLLECT without the log. The sink sees exactly the records a
-// collected trace would hold, in order; no trace is materialized. The
-// machine goes straight back to the pool.
-func runPSIInto(o Options, cell string, b progs.Benchmark, sink micro.Sink) error {
-	c, err := Compile(b)
-	if err != nil {
-		return err
-	}
-	r, err := c.run(runOpts{
-		tap:      sink,
-		cell:     cell,
-		progress: o.Progress,
-		every:    o.ProgressEvery,
-		ctx:      o.Ctx,
-		maxSteps: o.MaxSteps,
-		fault:    o.Fault,
-		fast:     o.Fast,
-		spans:    o.Spans,
-	})
-	if err != nil {
-		return err
-	}
-	r.Release()
-	return nil
+	return c.run(ro)
 }
 
 // Profile executes a benchmark with the simulated-workload profiler
@@ -181,17 +147,4 @@ func StatsFor(b progs.Benchmark) (*micro.Stats, *core.Machine, error) {
 		return nil, nil, err
 	}
 	return r.Machine.Stats(), r.Machine, nil
-}
-
-// statsValueFor runs a benchmark, copies the statistics by value and
-// returns the machine to the pool. Stats is a pure value type, so the
-// copy is safe to read after the machine is reused.
-func statsValueFor(o Options, cell string, b progs.Benchmark) (micro.Stats, error) {
-	r, err := runPSIWith(o, cell, b, false)
-	if err != nil {
-		return micro.Stats{}, err
-	}
-	s := *r.Machine.Stats()
-	r.Release()
-	return s, nil
 }

@@ -93,22 +93,13 @@ func CacheLabFor(o Options, g pmms.Grid, b progs.Benchmark) (*CacheLab, error) {
 	// tap at the same time, which would double-count every cycle. The
 	// profile path delivers the identical cycle stream a tap would, plus
 	// the EnterPredicate context the attribution needs.
-	r, err := c.run(runOpts{
-		profile:  s,
-		cell:     cell,
-		progress: o.Progress,
-		every:    o.ProgressEvery,
-		ctx:      o.Ctx,
-		maxSteps: o.MaxSteps,
-		fault:    o.Fault,
-		spans:    o.Spans,
-	})
+	ro := o.runOpts(cell)
+	ro.profile = s
+	r, err := c.run(ro)
 	if err != nil {
-		if o.KeepGoing {
-			o.degrade("cache_lab", cell, err)
-			return nil, nil
-		}
-		return nil, &CellError{Cell: cell, Err: err}
+		errs := cellErrs{o: o, section: "cache_lab"}
+		errs.add(cell, err)
+		return nil, errs.err()
 	}
 	r.Release()
 	obs.RecordSweep(s.Lanes(), s.Cycles(), time.Since(start).Nanoseconds())

@@ -45,10 +45,11 @@ type Options struct {
 	// (0 = the harness default of 4e9).
 	MaxSteps int64
 
-	// Fault, when non-nil, is a seeded fault-injection plan: every run
-	// whose evaluation cell matches the plan's Only filter gets its own
-	// deterministic injector (same plan + same cell = same fault). The
-	// fault surfaces as a contained engine.ErrFault run error.
+	// Fault, when non-nil, is a seeded fault-injection plan: every
+	// evaluation cell the plan's Only filter matches gets a run of its
+	// own with a deterministic injector (same plan + same cell = same
+	// fault); the other cells share the clean run. The fault surfaces as
+	// a contained engine.ErrFault run error.
 	Fault *fault.Plan
 
 	// KeepGoing turns per-cell failures into degradation instead of
@@ -73,9 +74,10 @@ type Options struct {
 	// event boundary.
 	Fast bool
 
-	// Spans, when non-nil, records a host-time span for every evaluation
-	// cell (one trace row per cell within a section) and for single
-	// benchmark runs driven through RunPSIWith. The resulting log exports
+	// Spans, when non-nil, records a host-time span for every simulated
+	// run of the evaluation — labelled with the first evaluation cell it
+	// serves, one trace row per run — and for single benchmark runs
+	// driven through RunPSIWith. The resulting log exports
 	// as a Chrome trace-event document (`psibench -trace-out`). Spans
 	// measure the host only; evaluation output stays byte-identical.
 	Spans *telemetry.SpanLog
@@ -88,6 +90,21 @@ func (o Options) maxSteps() int64 {
 	return maxSteps
 }
 
+// runOpts threads the options' per-run settings into one run labelled
+// with its evaluation cell.
+func (o Options) runOpts(cell string) runOpts {
+	return runOpts{
+		cell:     cell,
+		progress: o.Progress,
+		every:    o.ProgressEvery,
+		ctx:      o.Ctx,
+		maxSteps: o.MaxSteps,
+		fault:    o.Fault,
+		fast:     o.Fast,
+		spans:    o.Spans,
+	}
+}
+
 func (o Options) workers() int {
 	if o.Workers > 0 {
 		return o.Workers
@@ -95,24 +112,12 @@ func (o Options) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// parMap applies fn to every item on up to workers goroutines and
+// parMapErrs applies fn to every item on up to workers goroutines and
 // returns the results in item order, so callers observe the same result
-// sequence a serial loop would produce. On error the first failure by
-// item index wins — again matching the serial loop.
-func parMap[T, R any](workers int, items []T, fn func(T) (R, error)) ([]R, error) {
-	out, errs := parMapErrs(workers, items, fn)
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// parMapErrs is parMap without the first-error collapse: every item runs
-// and the caller receives the full per-item error slice, positionally
-// aligned with the results. This is what lets the harness attribute each
-// failure to its workload and degrade instead of aborting.
+// sequence a serial loop would produce. Every item runs and the caller
+// receives the full per-item error slice, positionally aligned with the
+// results: this is what lets the harness attribute each failure to its
+// workload and degrade instead of aborting.
 func parMapErrs[T, R any](workers int, items []T, fn func(T) (R, error)) ([]R, []error) {
 	out := make([]R, len(items))
 	errs := make([]error, len(items))
@@ -195,62 +200,31 @@ func (l *DegradedLog) Runs() []DegradedRun {
 	return out
 }
 
-// degrade records one failed cell in the options' degraded log (if any).
-func (o Options) degrade(section, cell string, err error) {
-	if o.Degraded == nil {
-		return
-	}
-	o.Degraded.add(DegradedRun{
-		Section: section,
-		Cell:    cell,
-		Class:   engine.ClassName(err),
-		Error:   err.Error(),
-	})
+// cellErrs gathers one section's cell failures in cell order. Every
+// failure is attributed to its cell. Without KeepGoing, err joins the
+// cell errors in cell order — deterministic at any worker count, unlike
+// a first-error race. With KeepGoing each failure is recorded in the
+// degraded log instead (in cell order, after the runs' barrier) and the
+// section keeps its surviving rows.
+type cellErrs struct {
+	o       Options
+	section string
+	errs    []error
 }
 
-// runCells fans the cells of one evaluation section out over the worker
-// pool. Every failure is attributed to its cell. Without KeepGoing all
-// cell errors are joined in cell order and returned — deterministic at
-// any worker count, unlike a first-error race. With KeepGoing the
-// failing cells are dropped, recorded in the degraded log (in cell
-// order, after the section barrier) and the surviving rows returned.
-func runCells[T, R any](o Options, section string, items []T, name func(T) string, fn func(T) (R, error)) ([]R, error) {
-	idxs := make([]int, len(items))
-	for i := range idxs {
-		idxs[i] = i
+func (e *cellErrs) add(cell string, err error) {
+	if !e.o.KeepGoing {
+		e.errs = append(e.errs, &CellError{Cell: cell, Err: err})
+		return
 	}
-	out, errs := parMapErrs(o.workers(), idxs, func(i int) (R, error) {
-		if o.Spans == nil {
-			return fn(items[i])
-		}
-		// One span per cell, one trace row per cell index: a section's
-		// cells render as parallel lanes in the trace viewer, named by
-		// the cell label, with the outcome class in args.
-		done := o.Spans.Start(section+"/"+name(items[i]), "cell", int64(i+1))
-		r, err := fn(items[i])
-		st := "ok"
-		if err != nil {
-			st = engine.ClassName(err)
-		}
-		done(map[string]string{"status": st})
-		return r, err
-	})
-	var joined []error
-	kept := out[:0]
-	for i, err := range errs {
-		if err == nil {
-			kept = append(kept, out[i])
-			continue
-		}
-		cerr := &CellError{Cell: section + "/" + name(items[i]), Err: err}
-		if o.KeepGoing {
-			o.degrade(section, cerr.Cell, err)
-			continue
-		}
-		joined = append(joined, cerr)
+	if e.o.Degraded != nil {
+		e.o.Degraded.add(DegradedRun{
+			Section: e.section,
+			Cell:    cell,
+			Class:   engine.ClassName(err),
+			Error:   err.Error(),
+		})
 	}
-	if len(joined) > 0 {
-		return nil, errors.Join(joined...)
-	}
-	return kept, nil
 }
+
+func (e *cellErrs) err() error { return errors.Join(e.errs...) }

@@ -3,8 +3,10 @@ package harness
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/telemetry"
 )
 
@@ -55,5 +57,52 @@ func TestOptionsSpansByteIdentical(t *testing.T) {
 	}
 	if want := len(traced); cells != want {
 		t.Errorf("trace holds %d cell spans, want one per row (%d)", cells, want)
+	}
+}
+
+// TestAblationRunsRecordSpans is the regression check for ablation runs
+// that recorded no spans: every plan run, the ablation bases and
+// variants included, records one cell span labelled with the first cell
+// it serves, and its Step span and heartbeats carry the same label.
+func TestAblationRunsRecordSpans(t *testing.T) {
+	log := telemetry.NewSpanLog()
+	var mu sync.Mutex
+	beats := map[string]bool{}
+	o := Options{
+		Workers: 2, Fast: true, Spans: log, ProgressEvery: 50_000,
+		Progress: func(p obs.Progress) {
+			mu.Lock()
+			beats[p.Cell] = true
+			mu.Unlock()
+		},
+	}
+	if _, err := AblationsWith(o); err != nil {
+		t.Fatal(err)
+	}
+	cells, steps := map[string]bool{}, map[string]int{}
+	for _, sp := range log.Trace().TraceEvents {
+		switch sp.Cat {
+		case "cell":
+			cells[sp.Name] = true
+		case "step":
+			steps[sp.Name]++
+		}
+	}
+	want := ablationCells()
+	if len(cells) != len(want) {
+		t.Errorf("%d cell spans, want one per ablation run (%d)", len(cells), len(want))
+	}
+	for _, c := range want {
+		if !cells[c.label] || steps[c.label] != 1 {
+			t.Errorf("run %q: cell span %v, %d Step spans; want one of each", c.label, cells[c.label], steps[c.label])
+		}
+	}
+	if len(beats) == 0 {
+		t.Fatal("no heartbeats at a 50k-cycle period")
+	}
+	for cell := range beats {
+		if !cells[cell] {
+			t.Errorf("heartbeat labelled %q, which names no run", cell)
+		}
 	}
 }

@@ -22,9 +22,11 @@ func streamingSweepTable(t *testing.T, workers int, bs []progs.Benchmark) string
 	}
 	rows, err := parMap(workers, bs, func(b progs.Benchmark) (string, error) {
 		s := pmms.NewSweeper(cfgs)
-		if err := runPSIInto(Options{Workers: 1}, "race-smoke "+b.Name, b, s); err != nil {
+		r, err := runBench(b, runOpts{cell: "race-smoke " + b.Name, tap: s})
+		if err != nil {
 			return "", err
 		}
+		r.Release()
 		var sb strings.Builder
 		for i := range cfgs {
 			c := s.Cache(i)
@@ -77,4 +79,16 @@ func TestFigure1StreamingWorkerDeterminism(t *testing.T) {
 		line, la, lb := firstDiffLine(a, b)
 		t.Fatalf("Figure 1 output differs between -j1 and -j8 at line %d:\n j1: %q\n j8: %q", line, la, lb)
 	}
+}
+
+// parMap is parMapErrs collapsed to the first failure by item index,
+// matching a serial loop.
+func parMap[T, R any](workers int, items []T, fn func(T) (R, error)) ([]R, error) {
+	out, errs := parMapErrs(workers, items, fn)
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }

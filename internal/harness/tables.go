@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"errors"
 	"time"
 
 	"repro/internal/cache"
@@ -28,37 +27,33 @@ type T1Row struct {
 	Inferences int64   `json:"inferences"`
 }
 
-// benchName labels a benchmark cell inside its section.
-func benchName(b progs.Benchmark) string { return b.Name }
-
 // Table1 measures every benchmark on both engines.
 func Table1() ([]T1Row, error) { return Table1With(Options{}) }
 
 // Table1With is Table1 under explicit worker options.
-func Table1With(o Options) ([]T1Row, error) {
-	return runCells(o, "table1", progs.Table1(), benchName, func(b progs.Benchmark) (T1Row, error) {
-		r, err := runPSIWith(o, "table1/"+b.Name, b, false)
-		if err != nil {
-			return T1Row{}, err
-		}
-		psi := float64(r.Machine.TimeNS()) / 1e6
-		inf := r.Machine.Inferences()
-		r.Release()
-		d, err := runDECWith(o, b)
-		if err != nil {
-			return T1Row{}, err
-		}
-		dec := float64(d.TimeNS()) / 1e6
+func Table1With(o Options) ([]T1Row, error) { return table1(runPlan(o, table1Cells())) }
+
+func table1Cells() []cell {
+	cells := cellsOf("table1", progs.Table1()...)
+	for i := range cells {
+		cells[i].dec = true
+	}
+	return cells
+}
+
+func table1(p *plan) ([]T1Row, error) {
+	return rows(p, "table1", table1Cells(), func(c cell, psi, dec *result) T1Row {
+		b := c.b
 		return T1Row{
 			Name:       b.Name,
-			PSIMS:      psi,
-			DECMS:      dec,
-			Ratio:      dec / psi,
+			PSIMS:      psi.ms(),
+			DECMS:      dec.ms(),
+			Ratio:      dec.ms() / psi.ms(),
 			PaperPSIMS: b.PaperPSIMS,
 			PaperDECMS: b.PaperDECMS,
 			PaperRatio: b.PaperDECMS / b.PaperPSIMS,
-			Inferences: inf,
-		}, nil
+			Inferences: psi.inferences,
+		}
 	})
 }
 
@@ -76,18 +71,17 @@ type T2Row struct {
 func Table2() ([]T2Row, error) { return Table2With(Options{}) }
 
 // Table2With is Table2 under explicit worker options.
-func Table2With(o Options) ([]T2Row, error) {
-	return runCells(o, "table2", progs.Table2Set(), benchName, func(b progs.Benchmark) (T2Row, error) {
-		s, err := statsValueFor(o, "table2/"+b.Name, b)
-		if err != nil {
-			return T2Row{}, err
-		}
-		var row T2Row
-		row.Name = b.Name
+func Table2With(o Options) ([]T2Row, error) { return table2(runPlan(o, table2Cells())) }
+
+func table2Cells() []cell { return cellsOf("table2", progs.Table2Set()...) }
+
+func table2(p *plan) ([]T2Row, error) {
+	return rows(p, "table2", table2Cells(), func(c cell, r, _ *result) T2Row {
+		row := T2Row{Name: c.b.Name}
 		for m := micro.Module(0); m < micro.NumModules; m++ {
-			row.Modules[m] = s.ModuleRatio(m) * 100
+			row.Modules[m] = r.stats.ModuleRatio(m) * 100
 		}
-		return row, nil
+		return row
 	})
 }
 
@@ -107,19 +101,20 @@ type T3Row struct {
 func Table3() ([]T3Row, error) { return Table3With(Options{}) }
 
 // Table3With is Table3 under explicit worker options.
-func Table3With(o Options) ([]T3Row, error) {
-	return runCells(o, "table3", progs.HardwareSet(), benchName, func(b progs.Benchmark) (T3Row, error) {
-		s, err := statsValueFor(o, "table3/"+b.Name, b)
-		if err != nil {
-			return T3Row{}, err
-		}
-		read := s.CacheOpRatio(micro.OpRead) * 100
-		ws := s.CacheOpRatio(micro.OpWriteStack) * 100
-		wr := s.CacheOpRatio(micro.OpWrite) * 100
+func Table3With(o Options) ([]T3Row, error) { return table3(runPlan(o, hardwareCells("table3"))) }
+
+// hardwareCells lists the cells of one of the hardware Tables 3-5.
+func hardwareCells(section string) []cell { return cellsOf(section, progs.HardwareSet()...) }
+
+func table3(p *plan) ([]T3Row, error) {
+	return rows(p, "table3", hardwareCells("table3"), func(c cell, r, _ *result) T3Row {
+		read := r.stats.CacheOpRatio(micro.OpRead) * 100
+		ws := r.stats.CacheOpRatio(micro.OpWriteStack) * 100
+		wr := r.stats.CacheOpRatio(micro.OpWrite) * 100
 		return T3Row{
-			Name: b.Name, Read: read, WriteStack: ws, Write: wr,
+			Name: c.b.Name, Read: read, WriteStack: ws, Write: wr,
 			WriteTotal: ws + wr, Total: read + ws + wr,
-		}, nil
+		}
 	})
 }
 
@@ -135,18 +130,15 @@ type T4Row struct {
 func Table4() ([]T4Row, error) { return Table4With(Options{}) }
 
 // Table4With is Table4 under explicit worker options.
-func Table4With(o Options) ([]T4Row, error) {
-	return runCells(o, "table4", progs.HardwareSet(), benchName, func(b progs.Benchmark) (T4Row, error) {
-		s, err := statsValueFor(o, "table4/"+b.Name, b)
-		if err != nil {
-			return T4Row{}, err
-		}
-		var row T4Row
-		row.Name = b.Name
+func Table4With(o Options) ([]T4Row, error) { return table4(runPlan(o, hardwareCells("table4"))) }
+
+func table4(p *plan) ([]T4Row, error) {
+	return rows(p, "table4", hardwareCells("table4"), func(c cell, r, _ *result) T4Row {
+		row := T4Row{Name: c.b.Name}
 		for k := 0; k < 5; k++ {
-			row.Areas[k] = s.AreaAccessRatio(word.AreaID(k)) * 100
+			row.Areas[k] = r.stats.AreaAccessRatio(word.AreaID(k)) * 100
 		}
-		return row, nil
+		return row
 	})
 }
 
@@ -163,21 +155,15 @@ type T5Row struct {
 func Table5() ([]T5Row, error) { return Table5With(Options{}) }
 
 // Table5With is Table5 under explicit worker options.
-func Table5With(o Options) ([]T5Row, error) {
-	return runCells(o, "table5", progs.HardwareSet(), benchName, func(b progs.Benchmark) (T5Row, error) {
-		r, err := runPSIWith(o, "table5/"+b.Name, b, false)
-		if err != nil {
-			return T5Row{}, err
-		}
-		c := r.Machine.Cache()
-		var row T5Row
-		row.Name = b.Name
+func Table5With(o Options) ([]T5Row, error) { return table5(runPlan(o, hardwareCells("table5"))) }
+
+func table5(p *plan) ([]T5Row, error) {
+	return rows(p, "table5", hardwareCells("table5"), func(c cell, r, _ *result) T5Row {
+		row := T5Row{Name: c.b.Name, Total: r.total.HitRatio() * 100}
 		for k := 0; k < 5; k++ {
-			row.Areas[k] = c.Area[k].HitRatio() * 100
+			row.Areas[k] = r.area[k].HitRatio() * 100
 		}
-		row.Total = c.HitRatio() * 100
-		r.Release()
-		return row, nil
+		return row
 	})
 }
 
@@ -233,26 +219,25 @@ func Figure1With(o Options) (*Fig1, error) {
 		}
 		s := pmms.NewSweeper(cfgs)
 		start := time.Now()
-		if err := runPSIInto(o, "fig1/"+b.Name, b, s); err != nil {
+		// The sweeper taps the cycle stream: COLLECT without the log.
+		ro := o.runOpts("fig1/" + b.Name)
+		ro.tap = s
+		r, err := runBench(b, ro)
+		if err != nil {
 			return nil, err
 		}
+		r.Release()
 		obs.RecordSweep(s.Lanes(), s.Cycles(), time.Since(start).Nanoseconds())
 		return s, nil
 	})
-	var joined []error
+	cerrs := cellErrs{o: o, section: "figure1"}
 	for i, err := range errs {
-		if err == nil {
-			continue
-		}
-		cerr := &CellError{Cell: "fig1/" + penaltyBenchmarks[i].Name, Err: err}
-		if o.KeepGoing {
-			o.degrade("figure1", cerr.Cell, err)
-		} else {
-			joined = append(joined, cerr)
+		if err != nil {
+			cerrs.add("fig1/"+penaltyBenchmarks[i].Name, err)
 		}
 	}
-	if len(joined) > 0 {
-		return nil, errors.Join(joined...)
+	if err := cerrs.err(); err != nil {
+		return nil, err
 	}
 	if errs[0] != nil {
 		// Degraded: the WINDOW sweep carries the capacity curve and the
@@ -299,22 +284,22 @@ type T6 struct {
 // BUP; other programs give close results).
 func Table6() (*T6, error) { return Table6With(Options{}) }
 
-// Table6With is Table6 under explicit worker options. Under KeepGoing a
+// Table6With is Table6 under explicit worker options. The usage is read
+// from the run's micro.Stats (see mapper.FromStats). Under KeepGoing a
 // failed run degrades the whole section (it is a single measurement):
 // the table is reported as nil and the failure recorded.
-func Table6With(o Options) (*T6, error) {
-	cell := "table6/" + progs.BUP3.Name
-	r, err := runPSIWith(o, cell, progs.BUP3, true)
-	if err != nil {
-		if o.KeepGoing {
-			o.degrade("table6", cell, err)
-			return nil, nil
-		}
-		return nil, &CellError{Cell: cell, Err: err}
+func Table6With(o Options) (*T6, error) { return table6(runPlan(o, table6Cells())) }
+
+func table6Cells() []cell { return cellsOf("table6", progs.BUP3) }
+
+func table6(p *plan) (*T6, error) {
+	ts, err := rows(p, "table6", table6Cells(), func(c cell, r, _ *result) T6 {
+		return T6{Workload: c.b.Name, Usage: mapper.FromStats(&r.stats)}
+	})
+	if err != nil || len(ts) == 0 {
+		return nil, err
 	}
-	t := &T6{Workload: progs.BUP3.Name, Usage: mapper.Analyze(r.Trace)}
-	r.Release()
-	return t, nil
+	return &ts[0], nil
 }
 
 // ---- Table 7 -------------------------------------------------------------
@@ -332,27 +317,24 @@ type T7Col struct {
 func Table7() ([]T7Col, error) { return Table7With(Options{}) }
 
 // Table7With is Table7 under explicit worker options.
-func Table7With(o Options) ([]T7Col, error) {
-	set := []progs.Benchmark{progs.BUP3, progs.Window1, progs.Puzzle8}
-	return runCells(o, "table7", set, benchName, func(b progs.Benchmark) (T7Col, error) {
-		s, err := statsValueFor(o, "table7/"+b.Name, b)
-		if err != nil {
-			return T7Col{}, err
-		}
-		var c T7Col
-		c.Name = b.Name
-		nonNop := 0.0
+func Table7With(o Options) ([]T7Col, error) { return table7(runPlan(o, table7Cells())) }
+
+func table7Cells() []cell { return cellsOf("table7", progs.BUP3, progs.Window1, progs.Puzzle8) }
+
+func table7(p *plan) ([]T7Col, error) {
+	return rows(p, "table7", table7Cells(), func(c cell, r, _ *result) T7Col {
+		s := &r.stats
+		col := T7Col{Name: c.b.Name}
 		for op := micro.BranchOp(0); op < micro.NumBranchOps; op++ {
-			c.Rates[op] = s.BranchRatio(op) * 100
+			col.Rates[op] = s.BranchRatio(op) * 100
 			if !op.IsNop() {
-				nonNop += c.Rates[op]
+				col.Branch += col.Rates[op]
 			}
 		}
-		c.Branch = nonNop
 		if s.Steps > 0 {
-			c.Data = float64(s.BranchData) / float64(s.Steps) * 100
+			col.Data = float64(s.BranchData) / float64(s.Steps) * 100
 		}
-		return c, nil
+		return col
 	})
 }
 

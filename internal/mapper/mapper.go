@@ -1,7 +1,9 @@
 // Package mapper implements the MAP microinstruction pattern analyzer:
 // given a COLLECT trace, it counts how often specific patterns appear in
 // specific microinstruction fields, producing the raw data behind the
-// work-file (Table 6) and branch-function (Table 7) evaluations.
+// work-file (Table 6) and branch-function (Table 7) evaluations. The
+// evaluation harness reads the same counts from a run's online
+// micro.Stats (FromStats); MAP serves offline traces.
 package mapper
 
 import (
@@ -80,6 +82,14 @@ func Analyze(l *trace.Log) WFUsage {
 		u.Counts[2][bounded(r.Dest)]++
 	}
 	return u
+}
+
+// FromStats builds the work-file usage from a run's online statistics.
+// micro.Stats counts the same three fields on every cycle, in both
+// accounting modes, so the result equals Analyze over the run's
+// collected trace without collecting one.
+func FromStats(s *micro.Stats) WFUsage {
+	return WFUsage{Steps: s.Steps, Counts: [3][micro.NumWFModes]int64{s.Src1, s.Src2, s.Dest}}
 }
 
 func bounded(m uint8) int {
