@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race fuzz chaos telemetry serve soak golden bench bench-pmms bench-engine bench-fast bench-obs bench-serve cover staticcheck profile verify
+.PHONY: build vet test race fuzz chaos telemetry serve soak golden bench bench-gates bench-serve cover staticcheck profile verify
 
 build:
 	$(GO) build ./...
@@ -71,32 +71,14 @@ golden:
 bench:
 	$(GO) test -run '^$$' -bench 'TablesParallel|EngineIndirection|FastVsExact' -benchtime 1x .
 
-# Refresh BENCH_pmms.json: measure the single-pass streaming cache sweep
-# against the legacy one-replay-per-configuration loop on a real trace,
-# plus the classified policy grid against the legacy lanes (floor: grid
-# cost <= 1.3x per lane; exits nonzero when the floor is missed).
-bench-pmms:
-	$(GO) run ./cmd/benchpmms
-
-# Refresh BENCH_engine.json: measure the engine.Session indirection
-# against direct Solutions.Next (budget: <= 2% overhead; exits nonzero
-# when the measured overhead exceeds it).
-bench-engine:
-	$(GO) run ./cmd/benchengine
-
-# Refresh BENCH_fast.json: measure the fast (batched) accounting mode
-# against the exact per-cycle path on nreverse, paired run by run
-# (floor: >= 1.5x speedup; exits nonzero when the speedup misses it).
-bench-fast:
-	$(GO) run ./cmd/benchengine -fast
-
-# Refresh BENCH_obs.json: measure the sampling profiler's overhead on
-# the fast engine (budget: <= 10% vs bare fast) and its per-predicate
-# accuracy against the exact profiler on every Table 1 program
-# (tolerance: telemetry.ShareTolerance absolute share); exits nonzero
-# when either bound is missed.
-bench-obs:
-	$(GO) run ./cmd/benchobs
+# Refresh the gate records BENCH_{engine,fast,obs,pmms}.json (schema
+# psi-bench/v1), each area's lanes timed by one interleaved round-robin
+# timer: engine.Session indirection <= 2% overhead, fast accounting
+# >= 1.5x over exact on nreverse, sampling profiler <= 10% overhead on
+# the fast engine, classified policy grid <= 1.3x per lane vs the
+# streaming sweep. Exits nonzero when any bound is missed.
+bench-gates:
+	$(GO) run ./cmd/bench
 
 # Refresh BENCH_serve.json: hammer a self-hosted psid with 8 concurrent
 # retrying clients replaying the seeded Table-1 + error/fault mix and

@@ -50,7 +50,7 @@ func main() {
 	verbose := flag.Bool("v", false, "stream live progress (cycles, simulated ms, MLIPS) to stderr")
 	cpuProfile := flag.String("cpuprofile", "", "write a host CPU profile to this `file`")
 	memProfile := flag.String("memprofile", "", "write a host heap profile to this `file`")
-	httpAddr := flag.String("http", "", "serve /debug/pprof and /debug/vars on this `address`")
+	httpAddr := flag.String("http", "", "serve /debug/pprof and /metrics on this `address`")
 	timeout := flag.Duration("timeout", 0, "abort the run after this wall-clock `duration` (exit 5)")
 	steps := flag.Int64("steps", 0, "bound the simulation to this many steps (0 = default 4e9; exit 4 when exceeded)")
 	faultSpec := flag.String("fault", "", "inject a deterministic seeded fault, e.g. `site=mem,after=1000,seed=1` (exit 7 when detected)")

@@ -53,7 +53,7 @@ func main() {
 	verbose := flag.Bool("v", false, "stream live progress (cycles, simulated ms, MLIPS, current cell) to stderr")
 	cpuProfile := flag.String("cpuprofile", "", "write a host CPU profile to this `file`")
 	memProfile := flag.String("memprofile", "", "write a host heap profile to this `file`")
-	httpAddr := flag.String("http", "", "serve /debug/pprof and /debug/vars on this `address` (e.g. localhost:6060)")
+	httpAddr := flag.String("http", "", "serve /debug/pprof and /metrics on this `address` (e.g. localhost:6060)")
 	timeout := flag.Duration("timeout", 0, "abort the evaluation after this wall-clock `duration` (exit 5)")
 	steps := flag.Int64("steps", 0, "bound each simulated run to this many steps (0 = default 4e9; exit 4 when exceeded)")
 	faultSpec := flag.String("fault", "", "inject a deterministic seeded fault into matching cells, e.g. `site=mem,after=1000,seed=1,only=nreverse` (exit 7, or 8 with -keep-going)")

@@ -11,8 +11,8 @@
 // byte-identical to `psi -json` for the same job — or, with
 // "stream": true, an NDJSON/SSE stream of solutions ending in a report
 // event. /healthz is liveness (always 200 while the process answers,
-// drain included), /readyz is readiness (503 while draining); /metrics,
-// /debug/pprof and /debug/vars are the ops plane. A stuck-session
+// drain included), /readyz is readiness (503 while draining); /metrics
+// and /debug/pprof are the ops plane. A stuck-session
 // watchdog hard-cancels sessions overstaying -watchdog-grace times
 // their wall budget (or -watchdog-max for unbudgeted jobs); killed
 // sessions end with the canceled class and a report whose fault block

@@ -4,8 +4,7 @@ package psi
 // the engine.Session interface instead of calling Solutions.Next
 // directly. The session path adds one interface dispatch per answer and
 // a nil-context check per Next; the budget is <= 2% wall-clock overhead
-// (recorded in BENCH_engine.json via cmd/benchengine, refreshed with
-// `make bench-engine`).
+// (recorded in BENCH_engine.json by `go run ./cmd/bench engine`).
 
 import (
 	"testing"

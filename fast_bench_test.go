@@ -5,9 +5,9 @@ package psi
 //
 //	go test -run '^$' -bench FastVsExact -benchtime 20x .
 //
-// The committed BENCH_fast.json is produced by `make bench-fast`
-// (cmd/benchengine -fast), which interleaves the lanes run by run — the
-// trustworthy ratio estimator on a noisy host. This benchmark is the
+// The committed BENCH_fast.json is produced by `go run ./cmd/bench fast`,
+// which interleaves the lanes run by run — the trustworthy ratio
+// estimator on a noisy host. This benchmark is the
 // quick profiling entry point for the same workload.
 
 import (

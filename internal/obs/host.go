@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"expvar"
 	"fmt"
 	"net"
 	"net/http"
@@ -17,31 +16,7 @@ import (
 // Host profiling hooks: the simulator is itself a program worth
 // profiling, so the CLIs expose the standard Go toolchain entry points —
 // CPU/heap profiles written to files and an optional debug HTTP listener
-// with /debug/pprof and expvar counters about the simulation.
-
-var (
-	expOnce sync.Once
-	// The psi_* counters are published lazily so binaries that never
-	// enable -http do not pay for expvar registration.
-	expCycles       *expvar.Int
-	expRuns         *expvar.Int
-	expSweeps       *expvar.Int
-	expSweepLanes   *expvar.Int
-	expSweepRecords *expvar.Int
-	expSweepWallNS  *expvar.Int
-)
-
-func exported() (*expvar.Int, *expvar.Int) {
-	expOnce.Do(func() {
-		expCycles = expvar.NewInt("psi_cycles_simulated")
-		expRuns = expvar.NewInt("psi_runs_completed")
-		expSweeps = expvar.NewInt("psi_cache_sweeps")
-		expSweepLanes = expvar.NewInt("psi_cache_sweep_lanes")
-		expSweepRecords = expvar.NewInt("psi_cache_sweep_records")
-		expSweepWallNS = expvar.NewInt("psi_cache_sweep_wall_ns")
-	})
-	return expCycles, expRuns
-}
+// with /debug/pprof and the telemetry registry at /metrics.
 
 // sessionDurationBounds buckets session wall times from sub-millisecond
 // micro-benchmarks up to multi-second simulations.
@@ -49,15 +24,11 @@ var sessionDurationBounds = []float64{
 	0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10, 30,
 }
 
-// RecordRun accumulates one finished run into the process-wide expvar
-// counters (visible at /debug/vars when the debug listener is enabled)
-// and the telemetry metrics registry (scraped at /metrics). Pass zero
-// for counters the caller did not measure (cacheAccesses 0 leaves the
-// hit-ratio gauge untouched; wallNS 0 skips the duration histogram).
+// RecordRun accumulates one finished run into the telemetry metrics
+// registry (scraped at /metrics). Pass zero for counters the caller did
+// not measure (cacheAccesses 0 leaves the hit-ratio gauge untouched;
+// wallNS 0 skips the duration histogram).
 func RecordRun(cycles, inferences, cacheHits, cacheAccesses, wallNS int64) {
-	c, r := exported()
-	c.Add(cycles)
-	r.Add(1)
 	reg := telemetry.Default
 	reg.Counter("psi_runs_total", "simulation runs completed").Inc()
 	reg.Counter("psi_cycles_simulated_total", "microcycles simulated across all runs").Add(cycles)
@@ -74,35 +45,23 @@ func RecordRun(cycles, inferences, cacheHits, cacheAccesses, wallNS int64) {
 	}
 }
 
+// The process-wide sweep counters RecordSweep accumulates, exposed at
+// /metrics.
+var (
+	sweepsTotal       = telemetry.Default.Counter("psi_cache_sweeps_total", "multi-configuration cache sweeps completed")
+	sweepLanesTotal   = telemetry.Default.Counter("psi_cache_sweep_lanes_total", "cache configurations replayed across all sweeps")
+	sweepRecordsTotal = telemetry.Default.Counter("psi_cache_sweep_records_total", "trace records fed to all sweeps")
+	sweepWallTotal    = telemetry.Default.SecondsCounter("psi_cache_sweep_wall_seconds_total", "host wall time spent in sweeps")
+)
+
 // RecordSweep accumulates one finished multi-configuration cache sweep:
 // how many cache configurations replayed in the single pass, how many
 // trace records fed it, and how long the pass took on the host.
 func RecordSweep(lanes int, records, wallNS int64) {
-	exported()
-	expSweeps.Add(1)
-	expSweepLanes.Add(int64(lanes))
-	expSweepRecords.Add(records)
-	expSweepWallNS.Add(wallNS)
-}
-
-// SweepStats is a snapshot of the process-wide sweep counters.
-type SweepStats struct {
-	Sweeps  int64 `json:"sweeps"`
-	Lanes   int64 `json:"lanes"`
-	Records int64 `json:"records"`
-	WallNS  int64 `json:"wall_ns"`
-}
-
-// ReadSweepStats snapshots the sweep counters RecordSweep accumulates
-// (the same numbers /debug/vars exports as psi_cache_sweep_*).
-func ReadSweepStats() SweepStats {
-	exported()
-	return SweepStats{
-		Sweeps:  expSweeps.Value(),
-		Lanes:   expSweepLanes.Value(),
-		Records: expSweepRecords.Value(),
-		WallNS:  expSweepWallNS.Value(),
-	}
+	sweepsTotal.Inc()
+	sweepLanesTotal.Add(int64(lanes))
+	sweepRecordsTotal.Add(records)
+	sweepWallTotal.Add(wallNS)
 }
 
 // StartCPUProfile begins a CPU profile written to path and returns a
@@ -162,15 +121,14 @@ func registerFamilies() {
 }
 
 // ServeDebug starts an HTTP listener on addr exposing /debug/pprof (via
-// net/http/pprof), /debug/vars (expvar, including the psi_* counters)
-// and /metrics (the telemetry registry in Prometheus text exposition).
+// net/http/pprof) and /metrics (the telemetry registry in Prometheus
+// text exposition).
 // It returns the bound address — pass ":0" for an ephemeral port — and
 // serves until the process exits. With an empty addr it is a no-op.
 func ServeDebug(addr string) (string, error) {
 	if addr == "" {
 		return "", nil
 	}
-	exported() // make sure the psi_* counters exist before first scrape
 	metricsOnce.Do(func() {
 		registerFamilies()
 		http.Handle("/metrics", telemetry.Default.Handler())

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -303,20 +304,18 @@ func TestHostProfilesAndCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Get("http://" + addr + "/debug/vars")
-	if err != nil {
+	// The run counters are read back from the one metrics surface; the
+	// expvar duplicates under /debug/vars are gone.
+	if got := scrapeValue(t, addr, "psi_cycles_simulated_total"); got < 1234 {
+		t.Errorf("psi_cycles_simulated_total = %v, want >= 1234", got)
+	}
+	if got := scrapeValue(t, addr, "psi_runs_total"); got < 1 {
+		t.Errorf("psi_runs_total = %v, want >= 1", got)
+	}
+	if resp, err := http.Get("http://" + addr + "/debug/vars"); err != nil {
 		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var vars struct {
-		Cycles int64 `json:"psi_cycles_simulated"`
-		Runs   int64 `json:"psi_runs_completed"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
-		t.Fatal(err)
-	}
-	if vars.Cycles < 1234 || vars.Runs < 1 {
-		t.Errorf("expvar counters not updated: %+v", vars)
+	} else if resp.Body.Close(); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("/debug/vars status = %d, want 404", resp.StatusCode)
 	}
 
 	// The same listener serves the telemetry registry at /metrics in the
@@ -340,9 +339,38 @@ func TestHostProfilesAndCounters(t *testing.T) {
 		"psi_cache_hit_ratio 0.9",
 		"# TYPE psi_session_duration_seconds histogram",
 		"psi_session_duration_seconds_count",
+		"# TYPE psi_cache_sweeps_total counter",
+		"psi_cache_sweep_lanes_total",
+		"psi_cache_sweep_records_total",
+		"psi_cache_sweep_wall_seconds_total",
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("/metrics missing %q in:\n%s", want, body)
 		}
 	}
+}
+
+// scrapeValue reads one unlabelled sample from the listener's /metrics.
+func scrapeValue(t *testing.T, addr, name string) float64 {
+	t.Helper()
+	resp, err := http.Get("http://" + addr + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(body), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("/metrics has no %s sample:\n%s", name, body)
+	return 0
 }

@@ -9,8 +9,8 @@
 //     module breakdowns to the predicate executing them (the MAP idea,
 //     lifted from field patterns to predicates);
 //   - Progress: live heartbeat events for long simulations;
-//   - host hooks: pprof helpers, a /debug listener and expvar counters
-//     for watching the Go host while it simulates.
+//   - host hooks: pprof helpers and a debug listener (/debug/pprof and
+//     /metrics) for watching the Go host while it simulates.
 package obs
 
 import (

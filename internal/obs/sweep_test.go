@@ -5,13 +5,19 @@ import (
 	"testing"
 )
 
+// sweepCounts snapshots the registry's sweep counters in RecordSweep's
+// units (wall time in nanoseconds).
+func sweepCounts() [4]int64 {
+	return [4]int64{sweepsTotal.Value(), sweepLanesTotal.Value(), sweepRecordsTotal.Value(), sweepWallTotal.Value()}
+}
+
 // TestSweepStatsConcurrentWriters hammers the sweep counters from
 // parallel writers with interleaved readers — the PMMS sweeps record
 // from the harness worker pool — and checks no update is lost; run
-// with -race. The counters are process-global expvars, so the test
-// asserts on deltas, not absolute values.
+// with -race. The counters live in the process-wide telemetry registry,
+// so the test asserts on deltas, not absolute values.
 func TestSweepStatsConcurrentWriters(t *testing.T) {
-	before := ReadSweepStats()
+	before := sweepCounts()
 	const writers, perWriter = 8, 200
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -23,34 +29,30 @@ func TestSweepStatsConcurrentWriters(t *testing.T) {
 			}
 		}()
 	}
-	// Interleaved readers must always observe a consistent snapshot type
-	// (no torn reads flagged by the race detector) and monotonic counts.
+	// Interleaved readers must never observe a torn read (flagged by the
+	// race detector) or a count going backwards.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		last := before.Sweeps
+		last := before[0]
 		for i := 0; i < 100; i++ {
-			s := ReadSweepStats()
-			if s.Sweeps < last {
+			s := sweepCounts()
+			if s[0] < last {
 				t.Error("sweep counter went backwards")
 				return
 			}
-			last = s.Sweeps
+			last = s[0]
 		}
 	}()
 	wg.Wait()
-	after := ReadSweepStats()
+	after := sweepCounts()
 	const n = writers * perWriter
-	if got := after.Sweeps - before.Sweeps; got != n {
-		t.Errorf("Sweeps delta = %d, want %d", got, n)
-	}
-	if got := after.Lanes - before.Lanes; got != 3*n {
-		t.Errorf("Lanes delta = %d, want %d", got, 3*n)
-	}
-	if got := after.Records - before.Records; got != 1000*n {
-		t.Errorf("Records delta = %d, want %d", got, 1000*n)
-	}
-	if got := after.WallNS - before.WallNS; got != 7*n {
-		t.Errorf("WallNS delta = %d, want %d", got, 7*n)
+	for i, c := range []struct {
+		name string
+		per  int64
+	}{{"psi_cache_sweeps_total", 1}, {"psi_cache_sweep_lanes_total", 3}, {"psi_cache_sweep_records_total", 1000}, {"psi_cache_sweep_wall_seconds_total (ns)", 7}} {
+		if got := after[i] - before[i]; got != c.per*n {
+			t.Errorf("%s delta = %d, want %d", c.name, got, c.per*n)
+		}
 	}
 }

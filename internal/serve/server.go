@@ -73,8 +73,7 @@ func (s *Server) Config() Config { return s.cfg }
 
 // Handler builds the daemon's route table: the job endpoint plus the
 // ops plane (/healthz liveness, /readyz readiness, /metrics, and the
-// /debug/pprof + /debug/vars listener the obs package registers on the
-// default mux).
+// /debug/pprof handlers the obs package registers on the default mux).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/solve", s.handleSolve)

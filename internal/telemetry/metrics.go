@@ -14,11 +14,14 @@ import (
 // the simulation (steps, inferences, cache hit ratios, session
 // durations, degraded cells), with Prometheus text exposition (format
 // 0.0.4) mounted at /metrics on the CLIs' -http debug listener, next to
-// /debug/pprof and /debug/vars. Metrics are host-side aggregates; they
-// never feed back into simulated output.
+// /debug/pprof. Metrics are host-side aggregates; they never feed back
+// into simulated output.
 
 // Counter is a monotonically increasing metric. Safe for concurrent use.
-type Counter struct{ v atomic.Int64 }
+type Counter struct {
+	v  atomic.Int64
+	ns bool // counts host nanoseconds; exposed in seconds
+}
 
 // Add increments the counter by n (n < 0 is ignored).
 func (c *Counter) Add(n int64) {
@@ -98,12 +101,19 @@ func NewRegistry() *Registry {
 
 // Counter returns the named counter, creating it on first use. The
 // first caller's help string wins.
-func (r *Registry) Counter(name, help string) *Counter {
+func (r *Registry) Counter(name, help string) *Counter { return r.counter(name, help, false) }
+
+// SecondsCounter returns the named counter of host nanoseconds, creating
+// it on first use. Add nanoseconds; the exposition renders seconds, so
+// name it *_seconds_total.
+func (r *Registry) SecondsCounter(name, help string) *Counter { return r.counter(name, help, true) }
+
+func (r *Registry) counter(name, help string, ns bool) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	c := r.counters[name]
 	if c == nil {
-		c = &Counter{}
+		c = &Counter{ns: ns}
 		r.counters[name] = c
 		r.help[name] = help
 	}
@@ -162,7 +172,12 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 		}
 		switch {
 		case r.counters[n] != nil:
-			fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", n, n, r.counters[n].Value())
+			c := r.counters[n]
+			v := strconv.FormatInt(c.Value(), 10)
+			if c.ns {
+				v = strconv.FormatFloat(float64(c.Value())/1e9, 'g', -1, 64)
+			}
+			fmt.Fprintf(w, "# TYPE %s counter\n%s %s\n", n, n, v)
 		case r.gauges[n] != nil:
 			fmt.Fprintf(w, "# TYPE %s gauge\n%s %s\n", n, n,
 				strconv.FormatFloat(r.gauges[n].Value(), 'g', -1, 64))

@@ -15,7 +15,7 @@
 //     (viewable in Perfetto / chrome://tracing);
 //   - Registry: process-wide counters, gauges and histograms with
 //     Prometheus-style text exposition (mounted at /metrics next to
-//     /debug/pprof and /debug/vars);
+//     /debug/pprof, the one metrics surface of the CLIs and psid);
 //   - Flight: a fixed-size ring of recent per-session events, dumped
 //     into fault reports so a chaos run leaves a post-mortem.
 //

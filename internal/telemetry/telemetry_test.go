@@ -190,6 +190,27 @@ psi_session_duration_seconds_count 3
 	}
 }
 
+// TestSecondsCounterExposition checks a nanosecond counter reads back
+// in nanoseconds and renders in seconds.
+func TestSecondsCounterExposition(t *testing.T) {
+	r := NewRegistry()
+	c := r.SecondsCounter("psi_wall_seconds_total", "host wall time")
+	c.Add(1_500_000_000)
+	c.Add(250_000)
+	if r.SecondsCounter("psi_wall_seconds_total", "") != c || c.Value() != 1_500_250_000 {
+		t.Fatalf("counter value = %d", c.Value())
+	}
+	var buf bytes.Buffer
+	r.WritePrometheus(&buf)
+	const golden = `# HELP psi_wall_seconds_total host wall time
+# TYPE psi_wall_seconds_total counter
+psi_wall_seconds_total 1.50025
+`
+	if buf.String() != golden {
+		t.Errorf("exposition diverged from the golden:\n--- got\n%s--- want\n%s", buf.String(), golden)
+	}
+}
+
 // TestRegistryConcurrent hammers one registry from parallel writers and
 // scrapers; run with -race. The final counts must not lose updates.
 func TestRegistryConcurrent(t *testing.T) {
