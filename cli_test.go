@@ -167,3 +167,17 @@ func TestCLISigintCancels(t *testing.T) {
 		t.Errorf("stderr %q does not name the canceled class", stderr.String())
 	}
 }
+
+// TestCLIFastSweepsStayFast pins that the Figure 1 and cache-lab sweeps
+// ride the fast engine: they tap the runs' memory commands, so
+// psibench -engine fast has no downgrade to warn about and prints
+// nothing on stderr.
+func TestCLIFastSweepsStayFast(t *testing.T) {
+	_, benchBin := buildCLIs(t)
+	for _, sel := range []string{"fig1", "lab"} {
+		code, stderr := runCLI(t, benchBin, "-engine", "fast", "-j", "2", sel)
+		if code != 0 || stderr != "" {
+			t.Errorf("psibench -engine fast %s: exit %d, stderr %q; want exit 0 and no warning", sel, code, stderr)
+		}
+	}
+}

@@ -58,7 +58,7 @@ func main() {
 	steps := flag.Int64("steps", 0, "bound each simulated run to this many steps (0 = default 4e9; exit 4 when exceeded)")
 	faultSpec := flag.String("fault", "", "inject a deterministic seeded fault into matching cells, e.g. `site=mem,after=1000,seed=1,only=nreverse` (exit 7, or 8 with -keep-going)")
 	keepGoing := flag.Bool("keep-going", false, "report failing workloads as degraded and keep evaluating the rest (exit 8 when any run degraded)")
-	engineMode := flag.String("engine", "exact", "accounting engine `mode`: exact (per-cycle) or fast (batched; byte-identical output; -v stays fast, runs arming a per-cycle consumer — -fault matches, the Figure 1 and cache-lab sweeps — run exact, with a startup warning)")
+	engineMode := flag.String("engine", "exact", "accounting engine `mode`: exact (per-cycle) or fast (batched; byte-identical output; -v and the Figure 1 and cache-lab sweeps stay fast; cells matching -fault run exact, with a startup warning)")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON span trace of the evaluation runs to this `file` (view in Perfetto)")
 	gridSpec := flag.String("grid", "", "cache-lab grid `spec` for the lab selector, e.g. 'caps=1024,8192;assoc=1,2;repl=lru,plru' (empty = the default grid)")
 	flag.Usage = usage
@@ -118,18 +118,10 @@ func main() {
 	if *traceOut != "" {
 		o.Spans = telemetry.NewSpanLog()
 	}
-	// The fast engine is downgraded per cell, never silently: name every
-	// per-cycle consumer the selected evaluation arms up front.
-	if mode == engine.ModeFast {
-		if o.Fault != nil {
-			fmt.Fprintln(os.Stderr, "psibench: -engine fast: cells matching the -fault plan run with exact accounting (fault injection needs the per-cycle stream)")
-		}
-		if which == "all" || which == "fig1" {
-			fmt.Fprintln(os.Stderr, "psibench: -engine fast: the Figure 1 cache sweep runs with exact accounting (its PMMS replay taps the per-cycle stream)")
-		}
-		if which == "all" || which == "lab" {
-			fmt.Fprintln(os.Stderr, "psibench: -engine fast: the cache lab runs with exact accounting (its grid sweep rides the per-cycle predicate sink)")
-		}
+	// The fast engine is downgraded per cell, never silently: fault
+	// injection is the one per-cycle consumer an evaluation arms.
+	if mode == engine.ModeFast && o.Fault != nil {
+		fmt.Fprintln(os.Stderr, "psibench: -engine fast: cells matching the -fault plan run with exact accounting (fault injection needs the per-cycle stream)")
 	}
 	defer func() { check(obs.WriteMemProfile(*memProfile)) }()
 	switch which {

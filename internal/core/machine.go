@@ -51,6 +51,12 @@ type Config struct {
 	// micro.MissSink, cache-miss notifications — the simulated-workload
 	// profiler hook.
 	Profile micro.PredSink
+	// Mem, when non-nil, receives every memory command (micro.MemSink)
+	// with the operation and logical address the cache model sees and,
+	// if it implements EnterPredicate(int), the predicate-context
+	// switches the profiler receives. It is not a per-cycle consumer:
+	// it does not downgrade Fast.
+	Mem micro.MemSink
 	// Progress, when non-nil, receives a heartbeat every ProgressEvery
 	// executed microcycles (live-progress events for long simulations).
 	Progress func(Heartbeat)
@@ -188,6 +194,12 @@ type Machine struct {
 	profile  micro.PredSink
 	missSink micro.MissSink
 	curPred  int
+	// memTap is the memory-command tap (nil unless attached) and
+	// memPred its optional predicate-context half. trackPred is set when
+	// anything reads the current predicate (profile, sampler, memPred).
+	memTap    micro.MemSink
+	memPred   interface{ EnterPredicate(int) }
+	trackPred bool
 
 	// Live-progress state: hb is the heartbeat callback (nil when
 	// disabled), hbEvery the period in cycles, hbLeft the exact path's
@@ -419,6 +431,9 @@ func (m *Machine) configureSinks(cfg Config) {
 	if cfg.Profile != nil {
 		m.missSink, _ = cfg.Profile.(micro.MissSink)
 	}
+	m.memTap = cfg.Mem
+	m.memPred, _ = cfg.Mem.(interface{ EnterPredicate(int) })
+	m.trackPred = cfg.Profile != nil || cfg.Sample != nil || m.memPred != nil
 	m.curPred = micro.NoPredicate
 	m.flight = cfg.Flight
 	m.hb = cfg.Progress
@@ -457,7 +472,8 @@ func (m *Machine) configureSinks(cfg Config) {
 	// forces the exact path (and names itself in ModeDowngradeReason).
 	// The telemetry hooks — sampler, heartbeat, spans, flight — need only
 	// a cycle count or host time, so they ride the fast path's event
-	// boundary (fastBoundary) without downgrading it.
+	// boundary (fastBoundary) without downgrading it; the memory tap
+	// fires from memAccess, which both paths share.
 	m.fast = cfg.Fast && cfg.Trace == nil && cfg.Profile == nil && cfg.Fault == nil
 	m.downgrade = ""
 	if cfg.Fast && !m.fast {
@@ -682,22 +698,34 @@ func (m *Machine) SetInterruptHandler(process int, q *kl0.Query) error {
 // frequency.
 
 // enterPred records that the code pointer now executes inside predicate
-// p, notifying the profiler on changes. Called only when the exact
-// profiler or the sampling profiler is attached: both attribute by the
-// same current-predicate notion, so their per-predicate splits agree up
-// to sampling error.
+// p, notifying the profiler and the memory tap on changes. Called only
+// when trackPred is set: the exact profiler, the sampling profiler and a
+// predicate-aware memory tap all attribute by the same current-predicate
+// notion, so their per-predicate splits agree.
 func (m *Machine) enterPred(p int) {
 	if p != m.curPred {
-		m.curPred = p
-		if m.profile != nil {
-			m.profile.EnterPredicate(p)
-		}
+		m.switchPred(p)
 	}
 }
 
-// memAccess drives the cache for one memory command and applies the
-// latency model.
+// switchPred is enterPred's out-of-line half, so the common no-change
+// check stays inlined at the dispatch sites.
+func (m *Machine) switchPred(p int) {
+	m.curPred = p
+	if m.profile != nil {
+		m.profile.EnterPredicate(p)
+	}
+	if m.memPred != nil {
+		m.memPred.EnterPredicate(p)
+	}
+}
+
+// memAccess drives the cache for one memory command, hands the same
+// command to the memory tap, and applies the latency model.
 func (m *Machine) memAccess(op micro.CacheOp, a word.Addr) {
+	if m.memTap != nil {
+		m.memTap.Access(op, a)
+	}
 	if m.cache != nil {
 		hit, _ := m.cache.Access(op, m.mem.Translate(a), a.Area())
 		if !hit && m.missSink != nil {

@@ -271,11 +271,12 @@ func TestChaosFastModeContained(t *testing.T) {
 
 // TestFaultFilterPerCell pins the fault-plan semantics of the shared
 // evaluation plan: the only= filter is matched against each cell's
-// label, matching cells get a faulted run of their own, and every other
-// cell reads the workload's shared clean run.
+// label, matching cells get a faulted run of their own (a sweeper
+// tapping such a cell taps that run), and every other cell reads the
+// workload's shared clean run.
 func TestFaultFilterPerCell(t *testing.T) {
 	if testing.Short() {
-		t.Skip("short mode: two full keep-going evaluations")
+		t.Skip("short mode: three full keep-going evaluations")
 	}
 	run := func(only string) *Evaluation {
 		e, err := EvaluationWith(Options{
@@ -325,5 +326,22 @@ func TestFaultFilterPerCell(t *testing.T) {
 	rest.Table2, rest.Degraded = clean.Table2, nil
 	if !reflect.DeepEqual(&rest, clean) {
 		t.Error("only=table2/ changed sections other than Table 2")
+	}
+
+	// A Figure 1 cell filter faults only the Figure 1 WINDOW sweep: its
+	// tap moves to the cell's own faulted run, while the cache lab and
+	// the table cells keep tapping and reading the shared clean run.
+	e = run("fig1/window-1")
+	if len(e.Degraded) != 1 || e.Degraded[0].Section != "figure1" || e.Degraded[0].Cell != "fig1/window-1" ||
+		e.Degraded[0].Class != "fault" || !strings.HasPrefix(e.Degraded[0].Error, "window-1: fault at cache") {
+		t.Errorf("only=fig1/window-1 degraded %+v, want the one fig1/window-1 fault", e.Degraded)
+	}
+	if e.Figure1 != nil {
+		t.Error("only=fig1/window-1 still reported Figure 1")
+	}
+	rest = *e
+	rest.Figure1, rest.Degraded = clean.Figure1, nil
+	if !reflect.DeepEqual(&rest, clean) {
+		t.Error("only=fig1/window-1 changed sections other than Figure 1")
 	}
 }

@@ -157,7 +157,7 @@ func (c *Compiled) Run(collect bool, feat core.Features) (*PSIRun, error) {
 // classic (collect, features) pair. The zero value reproduces Run.
 type runOpts struct {
 	collect     bool
-	tap         micro.Sink // cycle sink instead of a collected trace, e.g. a pmms.Sweeper
+	mem         micro.MemSink // memory-command tap, e.g. a pmms.Sweeper
 	feat        core.Features
 	cell        string             // evaluation cell label for heartbeats
 	progress    func(obs.Progress) // nil = no heartbeats
@@ -184,7 +184,7 @@ func (c *Compiled) run(ro runOpts) (*PSIRun, error) {
 	}
 	cfg := core.Config{
 		Processes: c.Procs, MaxSteps: steps, Features: ro.feat, Fast: ro.fast,
-		Profile: ro.profile, Sample: ro.sample, SampleEvery: ro.sampleEvery,
+		Profile: ro.profile, Mem: ro.mem, Sample: ro.sample, SampleEvery: ro.sampleEvery,
 	}
 	if ro.fault != nil && ro.fault.Matches(label) {
 		// Each matching run gets a fresh injector from the shared
@@ -193,15 +193,9 @@ func (c *Compiled) run(ro runOpts) (*PSIRun, error) {
 		cfg.Fault = ro.fault.New()
 	}
 	var log *trace.Log
-	switch {
-	case ro.collect:
+	if ro.collect {
 		log = &trace.Log{}
 		cfg.Trace = log
-	case ro.tap != nil:
-		// The tap sees the identical cycle stream COLLECT would log — a
-		// sweep fed through it computes exactly what a replay of the
-		// materialized trace computes, without the O(trace) allocation.
-		cfg.Trace = ro.tap
 	}
 	if ro.spans != nil {
 		cfg.Spans, cfg.SpanName, cfg.SpanTID = ro.spans, label, ro.spanTID

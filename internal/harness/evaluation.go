@@ -3,6 +3,9 @@ package harness
 import (
 	"encoding/json"
 	"strings"
+
+	"repro/internal/pmms"
+	"repro/internal/progs"
 )
 
 // EvaluationSchema identifies the Evaluation JSON schema. Bump the
@@ -41,9 +44,10 @@ func Evaluate() (*Evaluation, error) { return EvaluationWith(Options{}) }
 
 // EvaluationWith computes the full evaluation. One plan simulates every
 // workload the tables and the ablations need, once each, in a single
-// fan-out over the option's workers; the sections are then derived from
-// it in the classic order, with Figure 1 and the cache lab running
-// their own tapped runs. The result is identical for any worker count.
+// fan-out over the option's workers; the Figure 1 and cache-lab
+// sweepers tap the runs serving their cells. The sections are then
+// derived from it in the classic order. The result is identical for any
+// worker count.
 // With KeepGoing set, failing workloads are dropped from their sections
 // and listed in the result's Degraded field instead of aborting the
 // evaluation.
@@ -51,8 +55,9 @@ func EvaluationWith(o Options) (*Evaluation, error) {
 	if o.KeepGoing && o.Degraded == nil {
 		o.Degraded = NewDegradedLog()
 	}
+	fig1, lab := figure1Cells(), labCell(pmms.DefaultGrid(), progs.Window1)
 	p := runPlan(o, table1Cells(), table2Cells(), hardwareCells("table3"), hardwareCells("table4"),
-		hardwareCells("table5"), table6Cells(), table7Cells(), ablationCells())
+		hardwareCells("table5"), table6Cells(), table7Cells(), ablationCells(), fig1, []cell{lab})
 	e := &Evaluation{Schema: EvaluationSchema}
 	for _, section := range []func() error{
 		func() (err error) { e.Table1, err = table1(p); return },
@@ -62,9 +67,9 @@ func EvaluationWith(o Options) (*Evaluation, error) {
 		func() (err error) { e.Table5, err = table5(p); return },
 		func() (err error) { e.Table6, err = table6(p); return },
 		func() (err error) { e.Table7, err = table7(p); return },
-		func() (err error) { e.Figure1, err = Figure1With(o); return },
+		func() (err error) { e.Figure1, err = figure1(p, fig1); return },
 		func() (err error) { e.Ablations, err = ablations(p); return },
-		func() (err error) { e.CacheLab, err = CacheLabWith(o); return },
+		func() (err error) { e.CacheLab, err = cacheLab(p, lab); return },
 	} {
 		if err := section(); err != nil {
 			return nil, err

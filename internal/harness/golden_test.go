@@ -131,9 +131,10 @@ func TestGoldenFastEvaluation(t *testing.T) {
 // TestEvaluationRunCount pins how many simulations a full evaluation
 // makes. The plan runs each of the 23 distinct default-configuration
 // workloads once for Tables 1-7 and the ablation baselines, plus the 24
-// ablation variants; Figure 1 adds its 3 tapped sweeps and the cache lab
-// 1 grid run — 51 PSI simulations, each recording one Step span. Table 1
-// adds 19 DEC-10 runs, each recording one cell span.
+// ablation variants — 47 PSI simulations, each recording one Step span.
+// Figure 1's 3 sweeps and the cache lab's grid sweep tap the window-1,
+// 8 puzzle and BUP-3 runs among them and add none. Table 1 adds 19
+// DEC-10 runs, each recording one cell span.
 func TestEvaluationRunCount(t *testing.T) {
 	_, spans := fastEval(t)
 	var buf bytes.Buffer
@@ -153,8 +154,8 @@ func TestEvaluationRunCount(t *testing.T) {
 			dec++
 		}
 	}
-	if psi != 51 {
-		t.Errorf("full evaluation made %d PSI simulations, want 51", psi)
+	if psi != 47 {
+		t.Errorf("full evaluation made %d PSI simulations, want 47", psi)
 	}
 	if want := len(progs.Table1()); dec != want {
 		t.Errorf("full evaluation made %d DEC-10 runs, want %d", dec, want)

@@ -2,11 +2,10 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"strings"
-	"time"
 
 	"repro/internal/cache"
-	"repro/internal/obs"
 	"repro/internal/pmms"
 	"repro/internal/progs"
 )
@@ -39,8 +38,8 @@ type MissCause struct {
 }
 
 // CacheLab is the cache-architecture lab section: a replacement-policy x
-// capacity x associativity grid swept over one workload's cycle stream
-// in a single pass, every miss classified (first-touch / capacity /
+// capacity x associativity grid swept over one workload's memory
+// commands in a single pass, every miss classified (first-touch / capacity /
 // conflict), and the reference lane's misses attributed to the
 // predicates that caused them.
 type CacheLab struct {
@@ -61,51 +60,46 @@ func CacheLabWith(o Options) (*CacheLab, error) {
 }
 
 // CacheLabFor computes the cache lab for an explicit grid and workload
-// (the CLI's -grid flag parses into g). The whole grid costs one run of
-// the workload: the Sweeper taps the machine's cycle stream as its
-// profile sink, so it sees every cycle exactly once plus the predicate
-// context needed for miss attribution. The reference lane is the
-// machine's configuration when the grid contains it, lane 0 otherwise.
-// Under KeepGoing a failed run degrades the whole section (it is a
-// single measurement), like Table 6.
+// (the CLI's -grid flag parses into g): a plan of the lab cell alone.
+// The whole grid costs no run of its own: the Sweeper taps the memory
+// commands of the run serving the cell, plus the predicate context
+// needed for miss attribution — in a full evaluation, the workload's
+// default-configuration run the tables already make. The reference lane
+// is the machine's configuration when the grid contains it, lane 0
+// otherwise. Under KeepGoing a failed run degrades the whole section (it
+// is a single measurement), like Table 6.
 func CacheLabFor(o Options, g pmms.Grid, b progs.Benchmark) (*CacheLab, error) {
-	cfgs := g.Configs()
-	if len(cfgs) == 0 {
+	if len(g.Configs()) == 0 {
 		return nil, fmt.Errorf("cache lab: the grid has no valid configuration")
 	}
-	ref := 0
-	for i, cfg := range cfgs {
-		if cfg == cache.PSI {
-			ref = i
-			break
-		}
-	}
+	c := labCell(g, b)
+	return cacheLab(runPlan(o, []cell{c}), c)
+}
+
+// labCell is the lab's cell: the workload's default-configuration run,
+// tapped by a classifying sweeper over g's configurations (g must have
+// at least one).
+func labCell(g pmms.Grid, b progs.Benchmark) cell {
+	cfgs := g.Configs()
+	ref := max(slices.Index(cfgs, cache.PSI), 0)
 	s := pmms.NewSweeper(cfgs)
 	s.Classify(ref)
+	return cell{label: "lab/" + b.Name, b: b, sweep: s}
+}
 
-	c, err := Compile(b)
+func cacheLab(p *plan, c cell) (*CacheLab, error) {
+	ok, err := rows(p, "cache_lab", []cell{c}, func(c cell, _, _ *result) cell { return c })
+	if err != nil || len(ok) == 0 {
+		return nil, err
+	}
+	comp, err := Compile(c.b)
 	if err != nil {
 		return nil, err
 	}
-	cell := "lab/" + b.Name
-	start := time.Now()
-	// The sweeper attaches as the run's profile sink — never as a trace
-	// tap at the same time, which would double-count every cycle. The
-	// profile path delivers the identical cycle stream a tap would, plus
-	// the EnterPredicate context the attribution needs.
-	ro := o.runOpts(cell)
-	ro.profile = s
-	r, err := c.run(ro)
-	if err != nil {
-		errs := cellErrs{o: o, section: "cache_lab"}
-		errs.add(cell, err)
-		return nil, errs.err()
-	}
-	r.Release()
-	obs.RecordSweep(s.Lanes(), s.Cycles(), time.Since(start).Nanoseconds())
-
-	lab := &CacheLab{Workload: b.Name, RefConfig: cfgs[ref].String()}
-	for i, cfg := range cfgs {
+	s := c.sweep
+	lab := &CacheLab{Workload: c.b.Name, RefConfig: s.Cache(s.RefLane()).Config().String()}
+	for i := range s.Lanes() {
+		cfg := s.Cache(i).Config()
 		lab.Lanes = append(lab.Lanes, LabLane{
 			Config:      cfg.String(),
 			Words:       cfg.Words,
@@ -121,7 +115,7 @@ func CacheLabFor(o Options, g pmms.Grid, b progs.Benchmark) (*CacheLab, error) {
 			break
 		}
 		lab.TopCauses = append(lab.TopCauses, MissCause{
-			Predicate:     c.Prog.ProcName(pm.Pred),
+			Predicate:     comp.Prog.ProcName(pm.Pred),
 			MissBreakdown: pm.MissBreakdown,
 		})
 	}

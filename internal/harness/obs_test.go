@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/progs"
+	"repro/internal/telemetry"
 )
 
 // TestProfileTotalMatchesStats is the acceptance check for the simulated
@@ -79,5 +80,41 @@ func TestOptionsProgressHeartbeats(t *testing.T) {
 		if !strings.HasPrefix(c, "table2/") {
 			t.Errorf("heartbeat cell %q does not name a table2 cell", c)
 		}
+	}
+}
+
+// TestFastEvaluationSweepCounters checks the sweep counters stay honest
+// now that the sweeps tap the plan's fast runs: a fast evaluation
+// records its 4 sweeps (Figure 1's three and the cache lab's grid), each
+// fed its run's full cycle count — window-1's run carries two of them —
+// and downgrades no run to exact accounting.
+func TestFastEvaluationSweepCounters(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode: a full evaluation")
+	}
+	counter := func(name string) int64 { return telemetry.Default.Counter(name, "").Value() }
+	steps := func(b progs.Benchmark) int64 {
+		s, m, err := StatsFor(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer (&PSIRun{Machine: m}).Release()
+		return s.Steps
+	}
+	want := 2*steps(progs.Window1) + steps(progs.Puzzle8) + steps(progs.BUP3)
+
+	sweeps, records := counter("psi_cache_sweeps_total"), counter("psi_cache_sweep_records_total")
+	downgrades := counter("psi_mode_downgrades_total")
+	if _, err := EvaluationWith(Options{Workers: 2, Fast: true}); err != nil {
+		t.Fatal(err)
+	}
+	if d := counter("psi_cache_sweeps_total") - sweeps; d != 4 {
+		t.Errorf("psi_cache_sweeps_total moved by %d, want 4", d)
+	}
+	if d := counter("psi_cache_sweep_records_total") - records; d != want {
+		t.Errorf("psi_cache_sweep_records_total moved by %d, want %d (the tapped runs' Steps)", d, want)
+	}
+	if d := counter("psi_mode_downgrades_total") - downgrades; d != 0 {
+		t.Errorf("a fast evaluation downgraded %d runs to exact accounting", d)
 	}
 }

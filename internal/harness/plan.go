@@ -2,12 +2,17 @@ package harness
 
 import (
 	"cmp"
+	"slices"
+	"time"
 
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/micro"
+	"repro/internal/obs"
+	"repro/internal/pmms"
 	"repro/internal/progs"
+	"repro/internal/word"
 )
 
 // cell is one row (or column) of an evaluation section: a labelled view
@@ -16,8 +21,9 @@ type cell struct {
 	label   string // section-qualified, e.g. "table2/8 puzzle"
 	b       progs.Benchmark
 	feat    core.Features
-	variant string // the ablation variant feat encodes ("" = the full PSI configuration)
-	dec     bool   // also time the DEC-10 baseline
+	variant string        // the ablation variant feat encodes ("" = the full PSI configuration)
+	dec     bool          // also time the DEC-10 baseline
+	sweep   *pmms.Sweeper // taps the memory commands of the run serving the cell (Figure 1, the cache lab)
 }
 
 // cellsOf labels one default-configuration cell per benchmark.
@@ -53,32 +59,64 @@ func (r *result) ms() float64 { return float64(r.timeNS) / 1e6 }
 
 // plan simulates each distinct (workload, features) pair its sections
 // need once, and every section reads its cells from those runs: Tables
-// 1-7 and the ablation baselines are views of the same per-cycle
-// statistics. Figure 1 and the cache lab tap their runs' cycle streams
-// and keep runs of their own.
+// 1-7 and the ablation baselines are views of the same statistics, and
+// the Figure 1 and cache-lab sweepers tap the memory commands of the
+// runs serving their cells.
 type plan struct {
 	o     Options
 	runs  map[runKey]int
 	keys  []runKey
-	first []cell // the first cell each run serves; it labels the run
+	first []cell            // the first cell each run serves; it labels the run
+	taps  [][]*pmms.Sweeper // the sweepers each run feeds
 	res   []result
 	errs  []error
 }
 
 // runPlan registers the runs the sections' cells need, in cell order,
-// and simulates them in one fan-out over the workers.
+// and simulates them in one fan-out over the workers, longest first (see
+// dispatchOrder). Results land by run index, so the output is the same
+// for any worker count.
 func runPlan(o Options, sections ...[]cell) *plan {
 	p := &plan{o: o, runs: map[runKey]int{}}
 	for _, cells := range sections {
 		for _, c := range cells {
-			p.need(c, false)
+			i := p.need(c, false)
+			if c.sweep != nil {
+				p.taps[i] = append(p.taps[i], c.sweep)
+			}
 			if c.dec {
 				p.need(c, true)
 			}
 		}
 	}
-	p.res, p.errs = parMapErrs(o.workers(), p.keys, p.exec)
+	order := p.dispatchOrder()
+	res, errs := parMapErrs(o.workers(), order, p.exec)
+	p.res, p.errs = make([]result, len(p.keys)), make([]error, len(p.keys))
+	for j, i := range order {
+		p.res[i], p.errs[i] = res[j], errs[j]
+	}
 	return p
+}
+
+// dispatchOrder is the order the plan's runs start in: longest first, so
+// no worker draws a long run after the others have run dry. A run's
+// cost is its workload's paper time (progs.Benchmark.PaperPSIMS, 0 for
+// the workloads outside Table 1), descending and stable; the tapped runs
+// go right after the heaviest one, because their sweeps add host work
+// the paper time does not show.
+func (p *plan) dispatchOrder() []int {
+	order := make([]int, len(p.keys))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int {
+		return cmp.Compare(p.first[b].b.PaperPSIMS, p.first[a].b.PaperPSIMS)
+	})
+	if len(order) > 1 {
+		tapped := func(i int) int { return min(len(p.taps[i]), 1) }
+		slices.SortStableFunc(order[1:], func(a, b int) int { return tapped(b) - tapped(a) })
+	}
+	return order
 }
 
 func (p *plan) key(c cell, dec bool) runKey {
@@ -89,21 +127,25 @@ func (p *plan) key(c cell, dec bool) runKey {
 	return k
 }
 
-func (p *plan) need(c cell, dec bool) {
+// need registers the run serving c and returns its index.
+func (p *plan) need(c cell, dec bool) int {
 	k := p.key(c, dec)
-	if _, ok := p.runs[k]; !ok {
-		p.runs[k] = len(p.keys)
+	i, ok := p.runs[k]
+	if !ok {
+		i = len(p.keys)
+		p.runs[k] = i
 		p.keys = append(p.keys, k)
 		p.first = append(p.first, c)
+		p.taps = append(p.taps, nil)
 	}
+	return i
 }
 
-// exec simulates one run. The run is labelled with the first cell it
+// exec simulates run i. The run is labelled with the first cell it
 // serves — in heartbeats, spans and fault matching — and that label
 // matches the fault plan exactly when the run is a faulted one.
-func (p *plan) exec(k runKey) (r result, err error) {
-	i := p.runs[k]
-	c := p.first[i]
+func (p *plan) exec(i int) (r result, err error) {
+	k, c := p.keys[i], p.first[i]
 	if p.o.Spans != nil {
 		name, eng := c.label, "psi"
 		if k.dec {
@@ -122,12 +164,21 @@ func (p *plan) exec(k runKey) (r result, err error) {
 	ro := p.o.runOpts(c.label)
 	ro.feat = c.feat
 	ro.spanTID = int64(i + 1)
+	ro.mem = memTap(p.taps[i])
+	start := time.Now()
 	run, err := runBench(c.b, ro)
 	if err != nil {
 		return result{}, err
 	}
 	defer run.Release()
 	m := run.Machine
+	if taps := p.taps[i]; len(taps) > 0 {
+		steps, wall := m.Stats().Steps, time.Since(start).Nanoseconds()
+		for _, s := range taps {
+			s.AddCycles(steps)
+			obs.RecordSweep(s.Lanes(), steps, wall)
+		}
+	}
 	return result{
 		stats:      *m.Stats(),
 		area:       m.Cache().Area,
@@ -167,4 +218,37 @@ func rows[R any](p *plan, section string, cells []cell, row func(c cell, psi, de
 		return nil, err
 	}
 	return out, nil
+}
+
+// sweepTap fans one run's memory commands out to the sweepers tapping
+// it; predSweepTap also forwards the predicate-context switches.
+type (
+	sweepTap     []*pmms.Sweeper
+	predSweepTap struct{ sweepTap }
+)
+
+func (t sweepTap) Access(op micro.CacheOp, a word.Addr) {
+	for _, s := range t {
+		s.Access(op, a)
+	}
+}
+
+func (t predSweepTap) EnterPredicate(id int) {
+	for _, s := range t.sweepTap {
+		s.EnterPredicate(id)
+	}
+}
+
+// memTap is the core.Config.Mem tap feeding a run's sweepers (nil for
+// none). Predicate context is armed only when a sweeper classifies its
+// misses: it is the only reader, and tracking it costs a code-range
+// lookup per instruction.
+func memTap(ss []*pmms.Sweeper) micro.MemSink {
+	if len(ss) == 0 {
+		return nil
+	}
+	if slices.ContainsFunc(ss, (*pmms.Sweeper).Classified) {
+		return predSweepTap{ss}
+	}
+	return sweepTap(ss)
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // streamingSweepTable runs the streaming sweep — one Sweeper tapping the
-// machine's cache stream during the run, per workload, parallel across
+// machine's memory commands during a fast run, per workload, parallel across
 // workloads — and renders the lane results as a small Figure 1 style
 // table. Byte-identical output across worker counts is the contract.
 func streamingSweepTable(t *testing.T, workers int, bs []progs.Benchmark) string {
@@ -22,10 +22,11 @@ func streamingSweepTable(t *testing.T, workers int, bs []progs.Benchmark) string
 	}
 	rows, err := parMap(workers, bs, func(b progs.Benchmark) (string, error) {
 		s := pmms.NewSweeper(cfgs)
-		r, err := runBench(b, runOpts{cell: "race-smoke " + b.Name, tap: s})
+		r, err := runBench(b, runOpts{cell: "race-smoke " + b.Name, mem: s, fast: true})
 		if err != nil {
 			return "", err
 		}
+		s.AddCycles(r.Machine.Stats().Steps)
 		r.Release()
 		var sb strings.Builder
 		for i := range cfgs {
@@ -45,7 +46,7 @@ func streamingSweepTable(t *testing.T, workers int, bs []progs.Benchmark) string
 // workloads concurrently and demands the formatted sweep table be
 // byte-identical at -j1 and -j8. It stays in the -short set on purpose:
 // under `go test -race -short` this is the smoke test that sweeps the
-// trace tap, lane fan-out and machine-pool paths for data races.
+// memory tap, lane fan-out and machine-pool paths for data races.
 func TestStreamingSweepRaceSmoke(t *testing.T) {
 	bs := []progs.Benchmark{
 		progs.NReverse, progs.QuickSort, progs.TreeTraverse,

@@ -1,12 +1,9 @@
 package harness
 
 import (
-	"time"
-
 	"repro/internal/cache"
 	"repro/internal/mapper"
 	"repro/internal/micro"
-	"repro/internal/obs"
 	"repro/internal/pmms"
 	"repro/internal/progs"
 	"repro/internal/trace"
@@ -189,65 +186,47 @@ type Fig1 struct {
 // 8 words to 8K words (the paper's sweep) and computes the ablations.
 func Figure1() (*Fig1, error) { return Figure1With(Options{}) }
 
-// Figure1With is Figure1 under explicit worker options. Each workload's
-// cycle stream is fanned out to every cache configuration it feeds in a
-// single pass — WINDOW to the whole capacity sweep plus the ablations,
-// the penalty workloads to their two configurations — with the sweep
-// tapping the machine's cycle stream directly, so no trace is ever
-// materialized. Workloads fan out across the workers as before.
+// Figure1With is Figure1 under explicit worker options: a plan of the
+// Figure 1 cells alone. See figure1Cells for how the sweep is fed.
 func Figure1With(o Options) (*Fig1, error) {
-	var sizes []int
-	for _, w := range pmms.DefaultSizes() {
-		if w >= 8 {
-			sizes = append(sizes, w)
-		}
-	}
-	// WINDOW's lane plan: the capacity sweep, then the three ablation
-	// configurations the paper discusses alongside it.
-	fullCfgs := make([]cache.Config, 0, len(sizes)+3)
-	for _, w := range sizes {
-		fullCfgs = append(fullCfgs, pmms.SweepConfig(w))
-	}
-	fullCfgs = append(fullCfgs, cache.PSI, pmms.OneSetConfig, pmms.StoreThroughConfig)
-	iTwoSet, iOneSet, iThrough := len(sizes), len(sizes)+1, len(sizes)+2
+	cells := figure1Cells()
+	return figure1(runPlan(o, cells), cells)
+}
 
-	penaltyBenchmarks := []progs.Benchmark{progs.Window1, progs.Puzzle8, progs.BUP3}
-	sweeps, errs := parMapErrs(o.workers(), penaltyBenchmarks, func(b progs.Benchmark) (*pmms.Sweeper, error) {
-		cfgs := []cache.Config{cache.PSI, pmms.OneSetConfig}
-		if b.Name == progs.Window1.Name {
-			cfgs = fullCfgs
-		}
-		s := pmms.NewSweeper(cfgs)
-		start := time.Now()
-		// The sweeper taps the cycle stream: COLLECT without the log.
-		ro := o.runOpts("fig1/" + b.Name)
-		ro.tap = s
-		r, err := runBench(b, ro)
-		if err != nil {
-			return nil, err
-		}
-		r.Release()
-		obs.RecordSweep(s.Lanes(), s.Cycles(), time.Since(start).Nanoseconds())
-		return s, nil
-	})
-	cerrs := cellErrs{o: o, section: "figure1"}
-	for i, err := range errs {
-		if err != nil {
-			cerrs.add("fig1/"+penaltyBenchmarks[i].Name, err)
-		}
+// figure1Cells lists the Figure 1 cells, WINDOW first, each carrying
+// the sweeper that taps the memory commands of the run serving it —
+// COLLECT without the log, on either accounting path. WINDOW's sweeper
+// carries the whole capacity sweep plus the ablation configurations
+// (pmms.LegacyLanes); the other penalty workloads carry the two
+// configurations of the one-set penalty. In a full evaluation the cells
+// ride the default-configuration runs the tables already make.
+func figure1Cells() []cell {
+	cells := cellsOf("fig1", progs.Window1, progs.Puzzle8, progs.BUP3)
+	cells[0].sweep = pmms.NewSweeper(pmms.LegacyLanes())
+	for i := range cells[1:] {
+		cells[i+1].sweep = pmms.NewSweeper([]cache.Config{cache.PSI, pmms.OneSetConfig})
 	}
-	if err := cerrs.err(); err != nil {
+	return cells
+}
+
+func figure1(p *plan, cells []cell) (*Fig1, error) {
+	ok, err := rows(p, "figure1", cells, func(c cell, _, _ *result) cell { return c })
+	if err != nil {
 		return nil, err
 	}
-	if errs[0] != nil {
+	if len(ok) == 0 || ok[0].b.Name != progs.Window1.Name {
 		// Degraded: the WINDOW sweep carries the capacity curve and the
 		// ablation points — without it there is no figure to report.
 		return nil, nil
 	}
 
-	win := sweeps[0]
-	f := &Fig1{Workload: progs.Window1.Name}
-	for i := range sizes {
+	// WINDOW's lanes: the capacity sweep, then the paper configuration,
+	// the one-set and the store-through ablations.
+	nSizes := len(pmms.DefaultSizes())
+	iTwoSet, iOneSet, iThrough := nSizes, nSizes+1, nSizes+2
+	win := ok[0].sweep
+	f := &Fig1{Workload: progs.Window1.Name, OneSetPenalty: map[string]float64{}}
+	for i := range nSizes {
 		f.Points = append(f.Points, win.PointAt(i))
 	}
 	f.TwoSet8K = win.Improvement(iTwoSet)
@@ -256,18 +235,16 @@ func Figure1With(o Options) (*Fig1, error) {
 	f.OneSet8K = win.Improvement(iOneSet)
 	f.StoreThrough = win.Improvement(iThrough)
 
-	f.OneSetPenalty = map[string]float64{}
-	for i, b := range penaltyBenchmarks {
-		s := sweeps[i]
-		if s == nil {
-			continue // degraded penalty workload: the curve survives without it
-		}
+	// A degraded penalty workload is missing from ok: the curve survives
+	// without it.
+	for _, c := range ok {
+		s := c.sweep
 		two, one := s.Improvement(0), s.Improvement(1)
-		if i == 0 {
-			two, one = s.Improvement(iTwoSet), s.Improvement(iOneSet)
+		if c.b.Name == progs.Window1.Name {
+			two, one = f.TwoSet8K, f.OneSet8K
 		}
-		f.OneSetPenalty[b.Name] = two - one
-		f.PenaltyOrder = append(f.PenaltyOrder, b.Name)
+		f.OneSetPenalty[c.b.Name] = two - one
+		f.PenaltyOrder = append(f.PenaltyOrder, c.b.Name)
 	}
 	return f, nil
 }

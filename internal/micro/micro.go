@@ -205,6 +205,17 @@ type Sink interface {
 	Cycle(c Cycle)
 }
 
+// MemSink receives the memory commands of a run — the (op, address)
+// pair of every cycle that carries a cache command, exactly as the
+// machine's cache model sees it — instead of every cycle. Because
+// nothing is called for register-only cycles, a MemSink is compatible
+// with the fast accounting mode. A MemSink that also implements
+// EnterPredicate(int) receives the predicate-context switches a PredSink
+// does. The PMMS sweeper implements it.
+type MemSink interface {
+	Access(op CacheOp, a word.Addr)
+}
+
 // NoPredicate is the predicate id reported for cycles executed outside
 // any user predicate: query pseudo-clauses, metacall stubs and the
 // firmware's top-level glue.

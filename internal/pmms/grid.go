@@ -66,7 +66,8 @@ func (g Grid) Configs() []cache.Config {
 // LegacyLanes is the fixed 14-lane Figure 1 plan the Sweeper carried
 // before the grid existed: the 11-capacity sweep, the machine's
 // configuration and the one-set / store-through ablations, in that
-// order. Figure1With and the differential suite replay exactly these.
+// order. Figure 1 taps the window-1 run with exactly these lanes, and
+// the differential suite replays them.
 func LegacyLanes() []cache.Config {
 	var cfgs []cache.Config
 	for _, w := range DefaultSizes() {

@@ -45,12 +45,16 @@ type laneGroup struct {
 // computes it once. The differential tests check this against the
 // fresh-table legacy Replay for every configuration.
 //
-// A Sweeper implements micro.Sink, so it can tap a machine's cycle
-// stream directly while the program runs (COLLECT without the O(trace)
-// Log), and it can equally be fed from a materialized trace.Log
-// (ReplayLog) or a trace file (trace.ReadStream into Record). All three
-// feeds deliver the identical record stream, so the per-lane statistics
-// are the same.
+// A Sweeper implements micro.MemSink, so it can tap a machine's memory
+// commands directly while the program runs (COLLECT without the
+// O(trace) Log, on either accounting path): attached as core.Config.Mem
+// it sees every cache command, and AddCycles supplies the run's cycle
+// count (Stats().Steps) once the run ends. It equally implements
+// micro.Sink, for a machine's per-cycle trace stream, and can be fed
+// from a materialized trace.Log (ReplayLog) or a trace file
+// (trace.ReadStream into Record). Every feed delivers the identical
+// command stream and cycle count, so the per-lane statistics are the
+// same.
 type Sweeper struct {
 	caches   []*cache.Cache
 	groups   []laneGroup
@@ -86,13 +90,19 @@ func (s *Sweeper) addLane(c *cache.Cache) {
 	s.groups = append(s.groups, laneGroup{shift: shift, lanes: []*cache.Cache{c}, idx: []int{idx}})
 }
 
-// EnterPredicate implements micro.PredSink: attached as a machine's
-// profile sink, the Sweeper learns which predicate is executing and
-// attributes the reference lane's misses to it (the same
-// kl0.Program.ProcAt code-range attribution the obs profiler uses).
-// Trace-file replays never call it, so their misses pool under
-// micro.NoPredicate.
+// EnterPredicate receives the machine's predicate-context switches:
+// attached as a memory tap (or a profile sink), the Sweeper learns which
+// predicate is executing and attributes the reference lane's misses to
+// it (the same kl0.Program.ProcAt code-range attribution the obs
+// profiler uses). Trace-file replays never call it, so their misses
+// pool under micro.NoPredicate.
 func (s *Sweeper) EnterPredicate(id int) { s.curPred = id }
+
+// AddCycles advances the simulated clock by n cycles. A Sweeper fed
+// through Access learns its cycle count this way, from the run's
+// Stats().Steps when the run ends; the Cycle and Record feeds count
+// their cycles themselves.
+func (s *Sweeper) AddCycles(n int64) { s.cycles += n }
 
 // Cycle implements micro.Sink: every cycle advances the simulated clock;
 // cycles carrying a cache command fan out to every lane. Attaching the
@@ -103,7 +113,7 @@ func (s *Sweeper) Cycle(c micro.Cycle) {
 	if c.Cache == micro.OpNone {
 		return
 	}
-	s.access(c.Cache, c.Addr)
+	s.Access(c.Cache, c.Addr)
 }
 
 // Record feeds one trace record, e.g. from trace.ReadStream.
@@ -113,7 +123,7 @@ func (s *Sweeper) Record(r trace.Rec) {
 	if op == micro.OpNone {
 		return
 	}
-	s.access(op, word.Addr(r.Addr))
+	s.Access(op, word.Addr(r.Addr))
 }
 
 // ReplayLog feeds every record of a materialized trace through the
@@ -125,9 +135,11 @@ func (s *Sweeper) ReplayLog(l *trace.Log) {
 	})
 }
 
-// access translates the address and reduces the area kind once, then
-// dispatches the block number per block-size group.
-func (s *Sweeper) access(op micro.CacheOp, a word.Addr) {
+// Access implements micro.MemSink: one memory command, fanned out to
+// every lane. It translates the address and reduces the area kind once,
+// then dispatches the block number per block-size group. It does not
+// advance the clock; see AddCycles.
+func (s *Sweeper) Access(op micro.CacheOp, a word.Addr) {
 	s.accesses++
 	phys := s.atu.Translate(a)
 	kind := a.Area().Kind()
